@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,39 +69,47 @@ class RunConfig:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo > hi:
-            raise click.UsageError(f"empty dimension range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise click.UsageError(f"dimension must be an integer or A..B, got {text!r}") from None
+    if lo < 1:
+        raise click.UsageError(f"dimensions must be positive, got {text!r}")
+    if lo > hi:
+        raise click.UsageError(f"empty dimension range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def _cached_diagram(config: RunConfig, d: int) -> UncertaintyDiagram:
-    if config.cache_dir is None:
-        return enumerate_diagram(
-            dft_matrix(d),
-            engine=config.engine,
-            rank_tol=config.rank_tol,
-            sym_reduce=config.sym_reduce,
-            max_checks=config.max_checks,
+    """Enumerate, or read the cache file written by an identical run.
+
+    A missing, unreadable, truncated or incomplete cache file is a miss: the
+    diagram is recomputed and the file replaced.  Writes go through a
+    temporary file and ``os.replace``, so a reader never sees half a file.
+    """
+    path = None
+    if config.cache_dir is not None:
+        key_src = json.dumps(
+            {
+                "d": d,
+                "engine": config.engine,
+                "rank_tol": config.rank_tol,
+                "sym_reduce": config.sym_reduce,
+                "max_checks": config.max_checks,
+                "version": __version__,
+            },
+            sort_keys=True,
         )
-    key_src = json.dumps(
-        {
-            "d": d,
-            "engine": config.engine,
-            "rank_tol": config.rank_tol,
-            "sym_reduce": config.sym_reduce,
-            "max_checks": config.max_checks,
-            "version": __version__,
-        },
-        sort_keys=True,
-    )
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-    path = config.cache_dir / f"diagram-d{d}-{key}.json"
-    if path.exists():
-        return load_diagram(path)
+        key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
+        path = config.cache_dir / f"diagram-d{d}-{key}.json"
+        try:
+            cached = load_diagram(path)
+        except (OSError, ValueError, KeyError, TypeError):
+            cached = None
+        if cached is not None and cached.d == d and len(cached.points) == d * d:
+            return cached
     diag = enumerate_diagram(
         dft_matrix(d),
         engine=config.engine,
@@ -107,9 +117,24 @@ def _cached_diagram(config: RunConfig, d: int) -> UncertaintyDiagram:
         sym_reduce=config.sym_reduce,
         max_checks=config.max_checks,
     )
-    config.cache_dir.mkdir(parents=True, exist_ok=True)
-    save_diagram(path, diag)
+    if path is not None:
+        config.cache_dir.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        save_diagram(tmp, diag)
+        os.replace(tmp, path)
     return diag
+
+
+@contextmanager
+def _exit_codes():
+    """Map engine disagreements to exit 1 and invalid inputs to exit 2."""
+    try:
+        yield
+    except EngineDisagreementError as exc:
+        click.echo(f"engine disagreement: {exc}", err=True)
+        sys.exit(EXIT_MISMATCH)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _common_options(fn):
@@ -172,11 +197,8 @@ def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
         raise click.UsageError("diagram takes a single dimension")
     config = _config(dims, **kwargs)
     d = dims[0]
-    try:
+    with _exit_codes():
         diag = _cached_diagram(config, d)
-    except EngineDisagreementError as exc:
-        click.echo(f"engine disagreement: {exc}", err=True)
-        sys.exit(EXIT_MISMATCH)
     if out is not None:
         save_diagram(out, diag)
     if csv_path is not None:
@@ -250,7 +272,7 @@ def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
     """Check one named prediction or property suite over a dimension range."""
     dims = _parse_dims(dim)
     config = _config(dims, **kwargs)
-    try:
+    with _exit_codes():
         rows = verify_suite(
             theorem,
             dims,
@@ -260,9 +282,6 @@ def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
             seed=config.seed if config.seed is not None else 0,
             rank_tol=config.rank_tol,
         )
-    except EngineDisagreementError as exc:
-        click.echo(f"engine disagreement: {exc}", err=True)
-        sys.exit(EXIT_MISMATCH)
     failed = False
     for row in rows:
         mark = "PASS" if row.passed else ("INFO" if row.passed is None else "FAIL")
@@ -282,8 +301,8 @@ def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
 def cmd_witness(dim, n_a, n_b, out, **kwargs) -> None:
     """Emit a state realizing a Present diagram point."""
     config = _config((dim,), **kwargs)
-    u = dft_matrix(dim)
-    try:
+    with _exit_codes():
+        u = dft_matrix(dim)
         point = point_exists(
             u,
             n_a,
@@ -293,9 +312,6 @@ def cmd_witness(dim, n_a, n_b, out, **kwargs) -> None:
             sym_reduce=config.sym_reduce,
             max_checks=config.max_checks,
         )
-    except EngineDisagreementError as exc:
-        click.echo(f"engine disagreement: {exc}", err=True)
-        sys.exit(EXIT_MISMATCH)
     if point.status is PointStatus.UNKNOWN:
         click.echo(f"point ({n_a}, {n_b}) unresolved: {point.note}", err=True)
         sys.exit(EXIT_ABORTED)

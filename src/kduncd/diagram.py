@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclotomic import divisors
+from .cyclotomic import divisors, is_prime
 from .kd import StateVector, TransitionKind, TransitionMatrix, support_profile
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -41,7 +41,6 @@ from .linalg import (
     RankCertificate,
     _exact_rank_int,
     _numeric_rank,
-    _reduced_power_table,
     nullspace_basis,
     rank,
     submatrix,
@@ -195,7 +194,7 @@ class _RankOracle:
         if engine in (ENGINE_EXACT, ENGINE_BOTH):
             if u.exact_view is None:
                 raise ValueError("exact engine requires a transition matrix with an exact view")
-            self._power_table = _reduced_power_table(self.d)
+            self._monomials = tuple(((e, 1),) for e in range(self.d))
 
     def _necklace(self, s: tuple[int, ...]) -> tuple[int, ...]:
         v = self._necklaces.get(s)
@@ -216,10 +215,13 @@ class _RankOracle:
         return (nr, nc) if (nr, nc) <= (nc, nr) else (nc, nr)
 
     def _compute_exact(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        # A minor has at most k rows of k unimodular entries, so Hadamard's
+        # bound caps it at k^(k/2) in every embedding.
         d = self.d
-        table = self._power_table
-        mat = [[list(table[(i * j) % d]) for j in cols] for i in rows]
-        return _exact_rank_int(mat, len(cols), d)[0]
+        mono = self._monomials
+        k = min(len(rows), len(cols))
+        mat = [[mono[i * j % d] for j in cols] for i in rows]
+        return _exact_rank_int(mat, d, k**k)[0]
 
     def _compute_numeric(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         if not rows or not cols:
@@ -601,17 +603,6 @@ def _nontrivial_divisors(d: int) -> list[int]:
     return [m for m in divisors(d) if 1 < m < d]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def predict_theorem3(d: int) -> TheoremPrediction:
     """The Present set on the row n_b = 3, under a divisor hypothesis.
 
@@ -628,7 +619,7 @@ def predict_theorem3(d: int) -> TheoremPrediction:
             n_as.add(d - m)
             n_as.add(d - 2 * m)
     pts = frozenset((a, 3) for a in n_as)
-    applicable = all(_is_prime(m) for m in _nontrivial_divisors(d))
+    applicable = all(is_prime(m) for m in _nontrivial_divisors(d))
     note = "" if applicable else "d has a nontrivial nonprime divisor; prediction is heuristic"
     return TheoremPrediction(
         theorem="T3", d=d, points=pts, row=3, applicable=applicable, note=note

@@ -1,25 +1,31 @@
 """Complex matrices with interchangeable exact and numeric rank engines.
 
-The exact engine runs fraction-free (Bareiss-style) elimination over the
-cyclotomic field: entries are reduced modulo the cyclotomic polynomial,
-after which every intermediate value is an integer coefficient vector and
-the single division per step is an exact integer division.  Pivots are the
-first column entry that is nonzero as a field element, so ranks come with
-zero-test certainty.  The numeric engine counts singular values against a
-spectral-norm-relative threshold.
+The exact engine computes ranks over Q(w), w = exp(2*pi*i/d), by
+elimination modulo primes p = 1 (mod d).  Such a p has a primitive d-th
+root of unity w_p, and sending w^k to w_p^k is a ring map from Z[w] onto
+the integers mod p, so a minor that vanishes over Q(w) vanishes mod p and
+the rank mod p never exceeds the true rank.  A nonzero minor D vanishes mod
+p only when the prime ideal (p, w - w_p), of norm p, divides it, so the
+primes that miss D multiply to at most |N(D)|.  Hadamard's bound in each of
+the phi(d) complex embeddings gives |N(D)| <= B^phi(d), with B the product
+of the row norms (k^(k/2) for a DFT block with k = min(rows, cols)).
+Primes are therefore taken in a fixed order until one reaches full rank,
+which no prime can overshoot, or their product exceeds B^phi(d).  The rank
+is the largest seen; the pivots, the first nonzero row of each column, are
+those of the prime that reached it.  The numeric engine counts singular
+values against a spectral-norm-relative threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, IntPoly, cyclotomic_polynomial
+from .cyclotomic import CycNum, cyclotomic_polynomial, divisors, is_prime
 
 __all__ = [
     "CMatrix",
@@ -145,175 +151,81 @@ def submatrix(m: CMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> CMa
 
 
 # ---------------------------------------------------------------------------
-# exact engine internals: integer coefficient vectors reduced mod Phi_d
+# exact engine: certified multi-modular rank
+
+_MODULUS_CEILING = 1 << 62
 
 
 @lru_cache(maxsize=None)
-def _phi_int(d: int) -> tuple[int, ...]:
-    phi = cyclotomic_polynomial(d)
-    out = []
-    for c in phi.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("cyclotomic polynomial must be integral")
-        out.append(c.numerator)
-    return tuple(out)
-
-
-def _rem_int(vec: list[int], phi: tuple[int, ...]) -> list[int]:
-    """Remainder of an integer polynomial modulo monic integral ``phi``."""
-    deg = len(phi) - 1
-    for k in range(len(vec) - 1, deg - 1, -1):
-        c = vec[k]
-        if c:
-            vec[k] = 0
-            base = k - deg
-            for i in range(deg):
-                p = phi[i]
-                if p:
-                    vec[base + i] -= c * p
-    out = vec[:deg]
-    if len(out) < deg:
-        out.extend([0] * (deg - len(out)))
-    return out
-
-
-def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-@lru_cache(maxsize=None)
-def _reduced_power_table(d: int) -> tuple[tuple[int, ...], ...]:
-    """w^e reduced mod Phi_d for e in 0..d-1, as integer vectors."""
-    phi = _phi_int(d)
-    table = []
-    for e in range(d):
-        vec = [0] * d
-        vec[e] = 1
-        table.append(tuple(_rem_int(vec, phi)))
-    return tuple(table)
-
-
-def _inv_scaled(p: Sequence[int], d: int) -> tuple[list[int], int]:
-    """Integer polynomial t and integer r with t*p = r modulo Phi_d, r != 0.
-
-    Extended Euclid over the rationals, then denominators cleared, so the
-    caller can divide by the previous pivot with pure integer arithmetic.
-    """
-    phi = cyclotomic_polynomial(d)
-    a, b = phi, IntPoly(p)
-    s0, s1 = IntPoly(), IntPoly((1,))
-    while b.degree > 0:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-    if b.is_zero():
-        raise ZeroDivisionError("inverse of a zero residue")
-    c = b.coeffs[0]
-    scale = c.denominator
-    for coef in s1.coeffs:
-        scale = scale * coef.denominator // math.gcd(scale, coef.denominator)
-    L = phi.degree
-    t = [0] * L
-    for k, coef in enumerate(s1.coeffs):
-        t[k] = int(coef * scale)
-    return t, int(c * scale)
+def _modulus(d: int, index: int) -> tuple[int, tuple[int, ...]]:
+    """The index-th prime p = 1 (mod d) below 2^62, counting down, with the
+    powers w^0, ..., w^(d-1) of a primitive d-th root of unity w modulo p."""
+    if index:
+        p = _modulus(d, index - 1)[0] - d
+    else:
+        p = _MODULUS_CEILING - (_MODULUS_CEILING - 1) % d
+    while not is_prime(p):
+        p -= d
+    factors = [q for q in divisors(d) if is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // d, p)
+        if all(pow(w, d // q, p) != 1 for q in factors):
+            break
+        g += 1
+    return p, tuple(pow(w, e, p) for e in range(d))
 
 
 def _exact_rank_int(
-    rows: list[list[list[int]]], ncols: int, d: int
+    entries: Sequence[Sequence[Sequence[tuple[int, int]]]], d: int, bound_sq: int
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Fraction-free elimination on reduced integer coefficient vectors.
+    """Rank over Q(w), w = exp(2*pi*i/d), of a matrix with entries in Z[w].
 
-    Pivot selection is the first row with a nonzero entry, scanning columns
-    left to right; the Bareiss division by the previous pivot is performed as
-    multiplication by its scaled modular inverse followed by an exact integer
-    division, which keeps every intermediate integral.
+    ``entries[i][j]`` lists the (exponent, integer coefficient) terms of one
+    entry.  ``bound_sq`` is the square of a bound on the modulus of every
+    minor under every complex embedding.  Elimination runs modulo primes
+    p = 1 (mod d), pivoting on the first nonzero row of each column, until a
+    prime reaches full rank or the product of the primes exceeds
+    sqrt(bound_sq)^phi(d); the pivots are those of the prime with the
+    largest rank.
     """
-    phi = _phi_int(d)
-    m = len(rows)
-    work = rows
-    orig = list(range(m))
-    pivots: list[tuple[int, int]] = []
-    prev_t: list[int] | None = None
-    prev_r = 1
-    rank_val = 0
-    for col in range(ncols):
-        piv_at = -1
-        for i in range(rank_val, m):
-            if any(work[i][col]):
-                piv_at = i
+    nrows = len(entries)
+    ncols = len(entries[0]) if nrows else 0
+    full = min(nrows, ncols)
+    if full == 0:
+        return 0, ()
+    limit = bound_sq ** cyclotomic_polynomial(d).degree
+    best: tuple[int, tuple[tuple[int, int], ...]] = (-1, ())
+    product = 1
+    index = 0
+    while True:
+        p, powers = _modulus(d, index)
+        index += 1
+        work = [[sum(c * powers[e] for e, c in entry) % p for entry in row] for row in entries]
+        orig = list(range(nrows))
+        pivots: list[tuple[int, int]] = []
+        r = 0
+        for col in range(ncols):
+            at = next((i for i in range(r, nrows) if work[i][col]), -1)
+            if at < 0:
+                continue
+            work[r], work[at] = work[at], work[r]
+            orig[r], orig[at] = orig[at], orig[r]
+            pivots.append((orig[r], col))
+            inv = pow(work[r][col], -1, p)
+            top = [v * inv % p for v in work[r][col + 1 :]]
+            for row in work[r + 1 :]:
+                f = row[col]
+                if f:
+                    row[col + 1 :] = [(v - f * t) % p for v, t in zip(row[col + 1 :], top)]
+            r += 1
+            if r == full:
                 break
-        if piv_at < 0:
-            continue
-        if piv_at != rank_val:
-            work[rank_val], work[piv_at] = work[piv_at], work[rank_val]
-            orig[rank_val], orig[piv_at] = orig[piv_at], orig[rank_val]
-        pivots.append((orig[rank_val], col))
-        piv_row = work[rank_val]
-        piv = piv_row[col]
-        for i in range(rank_val + 1, m):
-            row = work[i]
-            below = row[col]
-            below_any = any(below)
-            for j in range(col + 1, ncols):
-                raw = _conv(piv, row[j])
-                if below_any:
-                    other = _conv(below, piv_row[j])
-                    for k, v in enumerate(other):
-                        raw[k] -= v
-                red = _rem_int(raw, phi)
-                if prev_t is not None:
-                    red = _rem_int(_conv(red, prev_t), phi)
-                    for k, v in enumerate(red):
-                        q, rem = divmod(v, prev_r)
-                        if rem:
-                            raise ArithmeticError(
-                                "non-exact division in fraction-free elimination"
-                            )
-                        red[k] = q
-                row[j] = red
-            row[col] = [0] * len(piv)
-        rank_val += 1
-        if rank_val == m:
-            break
-        prev_t, prev_r = _inv_scaled(piv, d)
-    return rank_val, tuple(pivots)
-
-
-def _exact_rows_from_cmatrix(m: CMatrix) -> list[list[list[int]]]:
-    """Reduce entries mod Phi_d and clear denominators row by row.
-
-    Row scaling by a nonzero rational preserves rank, so each row is lifted to
-    integer vectors by its own least common denominator.
-    """
-    d = m.order
-    if d is None:
-        raise ValueError("exact matrix lacks a root order")
-    phi = cyclotomic_polynomial(d)
-    L = max(phi.degree, 1)
-    out: list[list[list[int]]] = []
-    for i in range(m.rows):
-        reduced: list[tuple[Fraction, ...]] = []
-        denom = 1
-        for j in range(m.cols):
-            res = (IntPoly(m.entry(i, j).coeffs) % phi).coeffs
-            reduced.append(res)
-            for c in res:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        row = []
-        for res in reduced:
-            vec = [0] * L
-            for k, c in enumerate(res):
-                vec[k] = int(c * denom)
-            row.append(vec)
-        out.append(row)
-    return out
+        if r > best[0]:
+            best = (r, tuple(pivots))
+        product *= p
+        if r == full or product * product > limit:
+            return best
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +274,20 @@ def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]
 def rank(m: CMatrix, tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
     """Rank with an audit certificate, via the matrix's own engine."""
     if m.engine == ENGINE_EXACT:
-        if m.rows == 0 or m.cols == 0:
-            return RankCertificate(0, ENGINE_EXACT, (), 0.0)
-        rows = _exact_rows_from_cmatrix(m)
-        r, pivots = _exact_rank_int(rows, m.cols, m.order or 1)
+        # Scaling each row by the lcd of its coefficients keeps the rank; an
+        # entry's modulus is at most the l1 norm of its integer coefficients
+        # in every embedding, so the row norms bound every minor.
+        entries = []
+        bound_sq = 1
+        for i in range(m.rows):
+            row = [
+                [(e, c) for e, c in enumerate(m.entry(i, j).coeffs) if c] for j in range(m.cols)
+            ]
+            lcd = math.lcm(*{c.denominator for entry in row for _, c in entry})
+            terms = [[(e, c.numerator * (lcd // c.denominator)) for e, c in entry] for entry in row]
+            entries.append(terms)
+            bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in terms))
+        r, pivots = _exact_rank_int(entries, m.order or 1, bound_sq)
         return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
     r = _numeric_rank(m.entries, tol)
     return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(m.entries, r), tol)

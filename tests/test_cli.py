@@ -83,6 +83,46 @@ def test_diagram_cache_reuse(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
+    cache = tmp_path / "cache"
+    cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
+    cold = runner.invoke(main, ["diagram", "--d", "6", "--out", str(cold_out)])
+    assert cold.exit_code == 0
+    fill = runner.invoke(main, ["diagram", "--d", "6", "--cache", str(cache)])
+    assert fill.exit_code == 0
+    (cached,) = cache.glob("diagram-*.json")
+    full = cached.read_bytes()
+    cached.write_bytes(full[: len(full) // 2])
+    result = runner.invoke(
+        main, ["diagram", "--d", "6", "--cache", str(cache), "--out", str(warm_out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == cold.output
+    assert warm_out.read_bytes() == cold_out.read_bytes()
+    assert cached.read_bytes() == full
+    assert sorted(p.name for p in cache.iterdir()) == [cached.name]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagram", "--d", "abc"],
+        ["diagram", "--d", "0"],
+        ["verify", "T1", "--d", "0..3"],
+        ["verify", "T2", "--d", "0..3"],
+        ["diagram", "--d", "13"],
+        ["witness", "--d", "4", "0", "0"],
+    ],
+    ids=["diagram-abc", "diagram-0", "verify-T1", "verify-T2", "diagram-13", "witness-0-0"],
+)
+def test_usage_errors_exit_two_without_traceback(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "Error:" in result.output
+
+
 def test_classify_basis_state(runner, tmp_path):
     path = tmp_path / "basis.json"
     save_state(path, basis_state(5, 2))

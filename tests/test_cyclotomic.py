@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kduncd import CycNum, IntPoly, cyclotomic_polynomial, divisors, is_zero, root_power
+from kduncd.cyclotomic import is_prime
 
 
 def test_root_power_identity():
@@ -159,3 +160,24 @@ def test_intpoly_divmod_remainder():
     q, r = divmod(IntPoly([1, 1, 1]), IntPoly([-1, 1]))  # by x - 1
     assert r.coeffs == (3,)
     assert q.coeffs == (2, 1)
+
+
+def test_is_prime_matches_sympy_below_ten_thousand():
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(10**4) if sympy.isprime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**61 - 1,  # Mersenne prime
+        2**62 - 57,  # largest prime below 2^62
+        2**62 - 1,
+        3825123056546413051,  # strong pseudoprime to every prime base up to 31
+        4611686014132420609,  # (2^31 - 1)^2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    ],
+)
+def test_is_prime_matches_sympy_on_large_values(n):
+    assert is_prime(n) == sympy.isprime(n)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -13,7 +15,7 @@ from kduncd import (
     root_power,
     submatrix,
 )
-from kduncd.linalg import ENGINE_EXACT
+from kduncd.linalg import ENGINE_EXACT, _modulus
 
 
 def _exact_view(d):
@@ -173,6 +175,81 @@ def test_lemma3_progressions_have_full_rank(d):
                             assert rank(submatrix(nu, rows, cols)).rank == want
                             if d <= 6:
                                 assert rank(submatrix(ex, rows, cols)).rank == want
+
+
+def _det(m):
+    """Determinant of a square CycNum matrix by Laplace expansion, memoized
+    on the set of columns left for the remaining rows."""
+    n = len(m)
+    d = m[0][0].d
+
+    @lru_cache(maxsize=None)
+    def expand(i, cols):
+        if i == n:
+            return CycNum.one(d)
+        total = CycNum.zero(d)
+        for k, j in enumerate(cols):
+            term = m[i][j] * expand(i + 1, cols[:k] + cols[k + 1 :])
+            total = total - term if k % 2 else total + term
+        return total
+
+    return expand(0, tuple(range(n)))
+
+
+def _random_dft_blocks(d, count, max_size, seed):
+    rng = np.random.default_rng(seed)
+    top = min(d, max_size)
+    for _ in range(count):
+        nr = int(rng.integers(1, top + 1))
+        nc = int(rng.integers(1, top + 1))
+        rows = sorted(rng.choice(d, size=nr, replace=False).tolist())
+        cols = sorted(rng.choice(d, size=nc, replace=False).tolist())
+        yield submatrix(_exact_view(d), rows, cols)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6, 8, 9])
+def test_exact_rank_is_certified_beyond_the_first_prime(d):
+    """diag(p1, 1) has rank 2 but rank 1 modulo the engine's first prime p1,
+    so only the norm-bound stop can certify it."""
+    p1 = _modulus(d, 0)[0]
+    zero = CycNum.zero(d)
+    m = CMatrix.from_exact([[CycNum.from_rational(d, p1), zero], [zero, CycNum.one(d)]], order=d)
+    cert = rank(m)
+    assert cert.rank == 2
+    assert cert.pivots == ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9])
+def test_exact_rank_is_the_largest_nonzero_minor(d):
+    for sub in _random_dft_blocks(d, 25, 4, seed=700 + d):
+        m = [[sub.entry(i, j) for j in range(sub.cols)] for i in range(sub.rows)]
+        largest = max(
+            k
+            for k in range(min(sub.rows, sub.cols) + 1)
+            if k == 0
+            or any(
+                not _det([[m[i][j] for j in cs] for i in rs]).is_zero()
+                for rs in combinations(range(sub.rows), k)
+                for cs in combinations(range(sub.cols), k)
+            )
+        )
+        assert rank(sub).rank == largest
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9])
+def test_exact_pivot_minor_is_nonzero(d):
+    half = CycNum.from_rational(d, Fraction(1, 2))
+    w = root_power(d, 1)
+    rational = CMatrix.from_exact(
+        [[half, w, half * w], [w, w * w, half], [half, w, half * w]], order=d
+    )
+    for sub in [rational, *_random_dft_blocks(d, 25, 6, seed=800 + d)]:
+        cert = rank(sub)
+        rs = [i for i, _ in cert.pivots]
+        cs = [j for _, j in cert.pivots]
+        assert len(set(rs)) == len(set(cs)) == cert.rank
+        if cert.rank:
+            assert not _det([[sub.entry(i, j) for j in cs] for i in rs]).is_zero()
 
 
 def test_nullspace_identity_is_empty():
