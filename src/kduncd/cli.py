@@ -52,7 +52,6 @@ EXIT_ABORTED = 3
 class RunConfig:
     """Resolved run options shared by the commands."""
 
-    dims: tuple[int, ...]
     engine: str
     sym_reduce: bool
     eps_support: float
@@ -162,22 +161,6 @@ def _common_options(fn):
     return fn
 
 
-def _config(dims: tuple[int, ...], engine, sym_reduce, eps_support, eps_classical,
-            rank_tol, seed, max_checks, allow_partial, cache_dir) -> RunConfig:
-    return RunConfig(
-        dims=dims,
-        engine=engine,
-        sym_reduce=sym_reduce,
-        eps_support=eps_support,
-        eps_classical=eps_classical,
-        rank_tol=rank_tol,
-        seed=seed,
-        max_checks=max_checks,
-        allow_partial=allow_partial,
-        cache_dir=cache_dir,
-    )
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -195,7 +178,7 @@ def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
     dims = _parse_dims(dim)
     if len(dims) != 1:
         raise click.UsageError("diagram takes a single dimension")
-    config = _config(dims, **kwargs)
+    config = RunConfig(**kwargs)
     d = dims[0]
     with _exit_codes():
         diag = _cached_diagram(config, d)
@@ -225,7 +208,7 @@ def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
 @_common_options
 def cmd_classify(state_file, dim, **kwargs) -> None:
     """Classify a state from a JSON file against the DFT basis pair."""
-    config = _config((), **kwargs)
+    config = RunConfig(**kwargs)
     try:
         psi = load_state(state_file)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -271,7 +254,7 @@ def cmd_classify(state_file, dim, **kwargs) -> None:
 def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
     """Check one named prediction or property suite over a dimension range."""
     dims = _parse_dims(dim)
-    config = _config(dims, **kwargs)
+    config = RunConfig(**kwargs)
     with _exit_codes():
         rows = verify_suite(
             theorem,
@@ -300,7 +283,7 @@ def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
 @_common_options
 def cmd_witness(dim, n_a, n_b, out, **kwargs) -> None:
     """Emit a state realizing a Present diagram point."""
-    config = _config((dim,), **kwargs)
+    config = RunConfig(**kwargs)
     with _exit_codes():
         u = dft_matrix(dim)
         point = point_exists(

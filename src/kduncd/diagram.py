@@ -13,6 +13,11 @@ same three conditions: they then reduce to every single row of the matrix
 being nonzero on the chosen columns, which is the direct density argument
 for full A-support.
 
+One function evaluates the three conditions.  The search asks it through
+the cached rank oracle; the audit of a certifying candidate asks it through
+a closure that keeps every rank certificate, so both see the same rank
+queries in the same order.
+
 Points are decided Present by the first certifying candidate in a fixed
 lexicographic order, or Hole only after the whole candidate space has been
 exhausted.  A configured budget can cut a search short, which yields a
@@ -28,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,14 +43,13 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     ENGINE_EXACT,
     ENGINE_NUMERIC,
-    CMatrix,
     RankCertificate,
     _exact_rank_int,
     _numeric_rank,
-    nullspace_basis,
     rank,
     submatrix,
 )
+from .states import _as_rng, random_state_in_subspace
 
 __all__ = [
     "DiagramPoint",
@@ -104,7 +109,8 @@ class IndeterminateDiagramError(RuntimeError):
 
 
 class WitnessSamplingError(RuntimeError):
-    """Random sampling failed to realize the certified support profile."""
+    """A certified point's subspace could not be sampled, or random samples
+    failed to realize its support profile."""
 
 
 @dataclass(frozen=True)
@@ -277,19 +283,28 @@ def _insert_sorted(rows: tuple[int, ...], k: int) -> tuple[int, ...]:
     return rows[:pos] + (k,) + rows[pos:]
 
 
-def _conditions_hold(oracle: _RankOracle, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
+def _conditions_hold(
+    rank_of: Callable[[tuple[int, ...], tuple[int, ...]], int],
+    d: int,
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+) -> bool:
+    """Conditions (i)-(iii) for sorted ``rows`` and ``cols``.
+
+    ``rank_of`` is asked for the base rank, then for each outside row
+    inserted in sorted order, then for each dropped column, stopping at the
+    first failure.
+    """
     n_b = len(cols)
-    base = oracle.rank_of(rows, cols)
+    base = rank_of(rows, cols)
     if base >= n_b:
         return False
     rowset = set(rows)
-    for k in range(oracle.d):
-        if k in rowset:
-            continue
-        if oracle.rank_of(_insert_sorted(rows, k), cols) != base + 1:
+    for k in range(d):
+        if k not in rowset and rank_of(_insert_sorted(rows, k), cols) != base + 1:
             return False
     for idx in range(n_b):
-        if oracle.rank_of(rows, cols[:idx] + cols[idx + 1 :]) != base:
+        if rank_of(rows, cols[:idx] + cols[idx + 1 :]) != base:
             return False
     return True
 
@@ -322,34 +337,17 @@ def check_submatrix_conditions(
     if view is None:
         raise ValueError("exact engine requires an exact view")
 
-    def cert_of(r, c) -> RankCertificate:
-        return rank(submatrix(view, r, c), tol=rank_tol)
+    certs: list[RankCertificate] = []
 
-    base = cert_of(rows, cols)
-    n_b = len(cols)
-    ok = base.rank < n_b
-    added: list[tuple[int, RankCertificate]] = []
-    removed: list[tuple[int, RankCertificate]] = []
-    if ok:
-        rowset = set(rows)
-        for k in range(d):
-            if k in rowset:
-                continue
-            cert = cert_of(rows + (k,), cols)
-            added.append((k, cert))
-            if cert.rank != base.rank + 1:
-                ok = False
-                break
-    if ok:
-        for idx in range(n_b):
-            cert = cert_of(rows, cols[:idx] + cols[idx + 1 :])
-            removed.append((cols[idx], cert))
-            if cert.rank != base.rank:
-                ok = False
-                break
-    return ok, PointCertificate(
-        rows=rows, cols=cols, base=base, added=tuple(added), removed=tuple(removed)
-    )
+    def rank_of(r, c) -> int:
+        certs.append(rank(submatrix(view, r, c), tol=rank_tol))
+        return certs[-1].rank
+
+    ok = _conditions_hold(rank_of, d, rows, cols)
+    outside = [k for k in range(d) if k not in rows]
+    added = tuple(zip(outside, certs[1:]))
+    removed = tuple(zip(cols, certs[1 + len(outside) :]))
+    return ok, PointCertificate(rows=rows, cols=cols, base=certs[0], added=added, removed=removed)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +379,7 @@ def _find_point(
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
     reduce_rows = sym_reduce and u.kind is TransitionKind.DFT
+    rank_of = oracle.rank_of
     checks = 0
     for cols in combinations(range(d), n_b):
         for rows in _row_candidates(d, n_rows, reduce_rows):
@@ -392,7 +391,7 @@ def _find_point(
                     status=PointStatus.UNKNOWN,
                     note=f"aborted after {max_checks} candidates",
                 )
-            if _conditions_hold(oracle, rows, cols):
+            if _conditions_hold(rank_of, d, rows, cols):
                 audit_engine = ENGINE_EXACT if oracle.engine == ENGINE_BOTH else oracle.engine
                 ok, cert = check_submatrix_conditions(
                     u, rows, cols, engine=audit_engine, rank_tol=rank_tol
@@ -495,37 +494,21 @@ def witness_state(
 ) -> StateVector:
     """Random state realizing a certified Present point's exact profile.
 
-    Samples the nullspace of the certified submatrix; states there have
-    A-support avoiding the certificate rows and B-support inside its columns,
-    and a generic sample attains both bounds.  Retries with fresh randomness,
-    since the attaining set is dense but not all of the subspace.
+    Samples the nullspace of the certified submatrix, which holds the states
+    with A-support avoiding the certificate rows and B-support inside its
+    columns; a generic sample attains both bounds.  Retries with fresh
+    randomness, since the attaining set is dense but not all of the subspace.
     """
     if point.status is not PointStatus.PRESENT or point.certificate is None:
         raise ValueError("witness generation needs a Present point with a certificate")
-    rows = list(point.certificate.rows)
-    cols = list(point.certificate.cols)
-    if rows:
-        constraint = CMatrix.from_numeric(u.numeric[np.ix_(rows, cols)])
-    else:
-        constraint = CMatrix.from_numeric(np.empty((0, len(cols)), dtype=complex))
-    basis = nullspace_basis(constraint)
-    if not basis:
-        raise WitnessSamplingError("certified submatrix has a trivial nullspace")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rows = set(point.certificate.rows)
+    support = [i for i in range(u.d) if i not in rows]
+    rng = _as_rng(seed)
     for _ in range(max_tries):
-        g = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        beta = np.zeros(len(cols), dtype=complex)
-        for coeff, vec in zip(g, basis):
-            beta += coeff * vec
-        nrm = np.linalg.norm(beta)
-        if nrm == 0.0:
-            continue
-        beta /= nrm
-        amps_b = np.zeros(u.d, dtype=complex)
-        amps_b[cols] = beta
-        amps_a = u.numeric @ amps_b
-        amps_a.setflags(write=False)
-        psi = StateVector(d=u.d, amps_a=amps_a, norm=1.0)
+        try:
+            psi = random_state_in_subspace(u, support, point.certificate.cols, seed=rng)
+        except ValueError as exc:
+            raise WitnessSamplingError(f"certified subspace cannot be sampled: {exc}") from exc
         profile = support_profile(psi, u, eps=eps_support)
         if profile.n_a == point.n_a and profile.n_b == point.n_b:
             return psi

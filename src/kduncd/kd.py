@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +58,7 @@ DEFAULT_CLASSICALITY_EPS = 1e-10
 _UNITARITY_TOL = 1e-10
 _MUB_MODULUS_TOL = 1e-10
 _DFT_PATTERN_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 
 class TransitionKind(str, Enum):
@@ -116,15 +118,19 @@ def transition_from_unitary(
         if np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(d))) > _MUB_MODULUS_TOL:
             raise ValueError("mutually unbiased kind requires |U_ij| = 1/sqrt(d)")
     if kind is TransitionKind.DFT:
-        idx = np.arange(d)
-        ref = np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / math.sqrt(d)
-        if np.max(np.abs(a - ref)) > _DFT_PATTERN_TOL:
+        if np.max(np.abs(a - _dft_entries(d))) > _DFT_PATTERN_TOL:
             raise ValueError("DFT kind requires entries w^(i*j)/sqrt(d)")
     a.setflags(write=False)
     exact = None
     if kind is TransitionKind.DFT:
         exact = _dft_exact_view(d)
     return TransitionMatrix(d=d, kind=kind, numeric_view=CMatrix.from_numeric(a), exact_view=exact)
+
+
+def _dft_entries(d: int) -> np.ndarray:
+    """The unitary DFT entries w^(i*j)/sqrt(d), w = exp(2*pi*i/d)."""
+    idx = np.arange(d)
+    return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / math.sqrt(d)
 
 
 def _dft_exact_view(d: int) -> CMatrix:
@@ -137,9 +143,7 @@ def dft_matrix(d: int) -> TransitionMatrix:
     """The DFT transition matrix, with both exact and numeric views."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
-    idx = np.arange(d)
-    numeric = np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / math.sqrt(d)
-    return transition_from_unitary(numeric, kind=TransitionKind.DFT)
+    return transition_from_unitary(_dft_entries(d), kind=TransitionKind.DFT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,12 +338,25 @@ def save_state(path: str | Path, psi: StateVector) -> None:
 
 
 def load_state(path: str | Path) -> StateVector:
-    """Load a state file, normalizing and warning when the norm is off."""
+    """Load a state file, normalizing and warning when the norm is off.
+
+    The file must hold an integer ``d`` and, in ``amps_a``, d amplitudes,
+    each a ``[re, im]`` pair of finite numbers.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    d = int(payload["d"])
+    if not isinstance(payload, dict) or type(payload.get("d")) is not int:
+        raise ValueError(f"{path}: a state file is a JSON object with an integer d")
+    d = payload["d"]
     raw = payload["amps_a"]
-    if len(raw) != d:
-        raise ValueError(f"state file declares d={d} but has {len(raw)} amplitudes")
+    if not isinstance(raw, list) or len(raw) != d:
+        raise ValueError(f"{path}: amps_a must list d={d} amplitudes")
+    for i, amp in enumerate(raw):
+        # NaN fails the comparison, and so does an int too large for a float
+        pair = isinstance(amp, list) and len(amp) == 2
+        if not (pair and all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in amp)):
+            raise ValueError(
+                f"{path}: amplitude {i} is {json.dumps(amp)}, not a [re, im] pair of finite numbers"
+            )
     amps = np.array([complex(re, im) for re, im in raw], dtype=complex)
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:

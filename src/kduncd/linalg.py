@@ -36,6 +36,7 @@ __all__ = [
     "nullspace_basis",
     "rank",
     "submatrix",
+    "svd_rank",
 ]
 
 ENGINE_EXACT = "exact"
@@ -103,12 +104,6 @@ class CMatrix:
                 out[i, j] = self.entries[i * self.cols + j].numeric()
         out.setflags(write=False)
         return out
-
-    def transpose(self) -> CMatrix:
-        if self.engine == ENGINE_NUMERIC:
-            return CMatrix.from_numeric(self.entries.T)
-        rows = [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        return CMatrix.from_exact(rows, order=self.order or 1)
 
 
 @dataclass(frozen=True)
@@ -232,13 +227,20 @@ def _exact_rank_int(
 # numeric engine internals
 
 
+def svd_rank(s: np.ndarray, n: int, tol: float):
+    """Count the singular values above ``tol * s_max * n`` along the last axis.
+
+    ``s`` holds one matrix's singular values in descending order, or a stack
+    of them; ``n`` is the larger matrix dimension.
+    """
+    top = s[0] if s.ndim == 1 else s[..., 0, None]
+    return (s > tol * top * n).sum(axis=-1)
+
+
 def _numeric_rank(a: np.ndarray, tol: float) -> int:
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(a.shape)))
+    return int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape), tol))
 
 
 def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]:
@@ -305,9 +307,5 @@ def nullspace_basis(m: CMatrix, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarra
         return []
     if a.shape[0] == 0:
         return [np.eye(ncols, dtype=complex)[:, k] for k in range(ncols)]
-    u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol * s[0] * max(a.shape)))
-    return [vh[k].conj() for k in range(r, ncols)]
+    _, s, vh = np.linalg.svd(a)
+    return [vh[k].conj() for k in range(svd_rank(s, max(a.shape), tol), ncols)]

@@ -31,7 +31,7 @@ from .kd import (
     support_profile,
     theorem5_sufficient,
 )
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, svd_rank
 from .states import CosetSpec, coset_classical_state, random_mub_pair, random_state_in_subspace
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 DiagramProvider = Callable[[int], UncertaintyDiagram]
+
+# Smallest dimension each rule is stated for; absent rules hold from d = 1.
+_MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2}
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ def lemma3_check(d: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, int]:
     (instances checked, violations).
     """
     idx = np.arange(d)
-    w = np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d)
+    w = dft_matrix(d).numeric
     checked = 0
     violations = 0
     for m in divisors(d):
@@ -245,9 +248,7 @@ def lemma3_check(d: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, int]:
                 cols = np.array(sets_s, dtype=int)  # (K, s)
                 subs = w[row_block[:, None, :, None], cols[None, :, None, :]]
                 subs = subs.reshape(d * cols.shape[0], t, s)
-                svals = np.linalg.svd(subs, compute_uv=False)
-                smax = svals[:, 0]
-                ranks = (svals > rank_tol * smax[:, None] * max(t, s)).sum(axis=1)
+                ranks = svd_rank(np.linalg.svd(subs, compute_uv=False), max(t, s), rank_tol)
                 checked += subs.shape[0]
                 violations += int(np.sum(ranks != min(t, s)))
     return checked, violations
@@ -278,24 +279,33 @@ def verify_suite(
     seed: int | None = 0,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list[VerifyRow]:
-    """Dispatch a named verification over a dimension range."""
+    """Dispatch a named verification over a dimension range.
+
+    A dimension below the rule's minimum gets an informational row instead
+    of a check, so every requested dimension is reported.
+    """
     theorem = theorem.upper()
+    low = _MIN_DIMENSION.get(theorem, 1)
+    skipped = [
+        VerifyRow(d=d, label=theorem, passed=None, detail=f"rule needs d >= {low}; not checked")
+        for d in dims
+        if d < low
+    ]
+    dims = [d for d in dims if d >= low]
     if theorem == "T1":
-        return verify_theorem1(dims, diagrams)
-    if theorem == "C1":
-        return verify_corollary1(dims, diagrams)
-    if theorem == "T2":
-        return verify_theorem2([d for d in dims if d >= 2], diagrams)
-    if theorem == "T3":
-        return verify_theorem3([d for d in dims if d >= 3], diagrams)
-    if theorem == "T4":
-        return verify_theorem4(
-            dims, diagrams, witness_samples=samples or 1000, seed=seed
-        )
-    if theorem == "T5":
-        return verify_theorem5(
-            [d for d in dims if d >= 2], pairs=pairs or 100, samples=samples or 100, seed=seed
-        )
-    if theorem == "L3":
-        return verify_lemma3(dims, rank_tol)
-    raise ValueError(f"unknown verification id {theorem!r}")
+        rows = verify_theorem1(dims, diagrams)
+    elif theorem == "C1":
+        rows = verify_corollary1(dims, diagrams)
+    elif theorem == "T2":
+        rows = verify_theorem2(dims, diagrams)
+    elif theorem == "T3":
+        rows = verify_theorem3(dims, diagrams)
+    elif theorem == "T4":
+        rows = verify_theorem4(dims, diagrams, witness_samples=samples or 1000, seed=seed)
+    elif theorem == "T5":
+        rows = verify_theorem5(dims, pairs=pairs or 100, samples=samples or 100, seed=seed)
+    elif theorem == "L3":
+        rows = verify_lemma3(dims, rank_tol)
+    else:
+        raise ValueError(f"unknown verification id {theorem!r}")
+    return skipped + rows

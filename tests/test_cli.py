@@ -167,6 +167,21 @@ def test_classify_malformed_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "amps",
+    ["[1, 2]", "[[NaN, 0], [1, 0]]", "[[1" + "0" * 400 + ", 0], [1, 0]]"],
+    ids=["plain-numbers", "nan", "huge-int"],
+)
+def test_classify_rejects_bad_amplitudes(runner, tmp_path, amps):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"d": 2, "amps_a": {amps}}}')
+    result = runner.invoke(main, ["classify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "amplitude 0" in result.output
+
+
 def test_classify_dimension_mismatch(runner, tmp_path):
     path = tmp_path / "basis.json"
     save_state(path, basis_state(4, 0))
@@ -178,6 +193,16 @@ def test_verify_t2_passes(runner):
     result = runner.invoke(main, ["verify", "T2", "--d", "2..8"])
     assert result.exit_code == 0, result.output
     assert result.output.count("PASS") == 7
+
+
+def test_verify_reports_dimensions_below_rule_minimum(runner):
+    result = runner.invoke(main, ["verify", "T2", "--d", "1..3"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        "T2  d=1   INFO  rule needs d >= 2; not checked",
+        "T2  d=2   PASS  row 2 present at n_a in [1, 2]",
+        "T2  d=3   PASS  row 2 present at n_a in [2, 3]",
+    ]
 
 
 def test_verify_l3_passes(runner):

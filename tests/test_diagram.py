@@ -3,9 +3,12 @@ import json
 import pytest
 
 from kduncd import (
+    DiagramPoint,
     IndeterminateDiagramError,
+    PointCertificate,
     PointStatus,
     Verdict,
+    WitnessSamplingError,
     check_submatrix_conditions,
     classify_state,
     dft_matrix,
@@ -54,6 +57,27 @@ def test_conditions_fail_on_full_rank():
     assert not ok
     assert cert.base.rank == 2  # condition (i) fails
     assert cert.added == ()
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+def test_conditions_audit_stops_at_failing_row(engine):
+    # d=6, rows {0}, cols {0, 2}: rank 1; rows 1 and 2 raise it, row 3 does not
+    ok, cert = check_submatrix_conditions(dft_matrix(6), [0], [0, 2], engine=engine)
+    assert not ok
+    assert cert.base.rank == 1
+    assert [(k, c.rank) for k, c in cert.added] == [(1, 2), (2, 2), (3, 1)]
+    assert cert.removed == ()
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+def test_conditions_audit_stops_at_failing_column(engine):
+    # d=4, rows {0, 2}, cols {0, 1, 2}: (i) and (ii) hold; dropping column 1
+    # lowers the rank
+    ok, cert = check_submatrix_conditions(dft_matrix(4), [0, 2], [0, 1, 2], engine=engine)
+    assert not ok
+    assert cert.base.rank == 2
+    assert [(k, c.rank) for k, c in cert.added] == [(1, 3), (3, 3)]
+    assert [(k, c.rank) for k, c in cert.removed] == [(0, 2), (1, 1)]
 
 
 def test_conditions_engines_agree():
@@ -225,6 +249,14 @@ def test_witness_nonclassical_point_d6(diagram_cache):
     u = dft_matrix(6)
     psi = witness_state(u, diagram_cache(6).points[(4, 4)], seed=7)
     assert classify_state(psi, u).verdict is Verdict.NONCLASSICAL
+
+
+def test_witness_trivial_nullspace_raises():
+    # a full-rank 2x2 block certifies nothing: its nullspace is {0}
+    cert = PointCertificate(rows=(0, 1), cols=(0, 1))
+    point = DiagramPoint(n_a=2, n_b=2, status=PointStatus.PRESENT, certificate=cert)
+    with pytest.raises(WitnessSamplingError):
+        witness_state(dft_matrix(4), point, seed=0)
 
 
 def test_witness_requires_present_point(diagram_cache):

@@ -330,6 +330,18 @@ def test_state_file_rejects_wrong_length(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"d": None, "amps_a": []}, {"d": 2.5, "amps_a": [[1.0, 0.0], [0.0, 0.0]]}],
+    ids=["list", "null-d", "float-d"],
+)
+def test_state_file_rejects_bad_header(tmp_path, payload):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="integer d"):
+        load_state(path)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         kd_distribution(basis_state(3, 0), dft_matrix(4))

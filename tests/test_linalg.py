@@ -15,7 +15,7 @@ from kduncd import (
     root_power,
     submatrix,
 )
-from kduncd.linalg import ENGINE_EXACT, _modulus
+from kduncd.linalg import ENGINE_EXACT, _modulus, svd_rank
 
 
 def _exact_view(d):
@@ -115,8 +115,9 @@ def test_rank_matches_transpose(d):
         rows = sorted(rng.choice(d, size=nr, replace=False).tolist())
         cols = sorted(rng.choice(d, size=nc, replace=False).tolist())
         for view in (_exact_view(d), _numeric_view(d)):
-            sub = submatrix(view, rows, cols)
-            assert rank(sub).rank == rank(sub.transpose()).rank
+            # the DFT is symmetric, so swapping the index sets transposes
+            transposed = submatrix(view, cols, rows)
+            assert rank(submatrix(view, rows, cols)).rank == rank(transposed).rank
 
 
 @pytest.mark.parametrize("d", [3, 5, 6, 8])
@@ -269,6 +270,13 @@ def test_nullspace_of_unconstrained_space_is_full_basis():
     assert len(basis) == 3
     stacked = np.array(basis)
     assert np.allclose(stacked @ stacked.conj().T, np.eye(3))
+
+
+def test_svd_threshold_counts_zero_for_zero_matrices():
+    assert len(nullspace_basis(CMatrix.from_numeric(np.zeros((2, 3))))) == 3
+    stack = np.stack([np.zeros(2), np.array([2.0, 1e-13]), np.array([2.0, 1.0])])
+    assert svd_rank(stack, 2, 1e-10).tolist() == [0, 1, 2]
+    assert svd_rank(np.zeros(2), 2, 1e-10) == 0
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
