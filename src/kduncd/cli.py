@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -48,25 +49,6 @@ EXIT_USAGE = 2
 EXIT_ABORTED = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the commands."""
-
-    engine: str
-    sym_reduce: bool
-    eps_support: float
-    eps_classical: float
-    rank_tol: float
-    seed: int | None
-    max_checks: int | None
-    allow_partial: bool
-    cache_dir: Path | None
-
-    def __post_init__(self) -> None:
-        if self.eps_support <= 0 or self.eps_classical <= 0 or self.rank_tol <= 0:
-            raise click.UsageError("tolerances must be positive")
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     lo_s, sep, hi_s = text.partition("..")
     try:
@@ -81,7 +63,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _cached_diagram(config: RunConfig, d: int) -> UncertaintyDiagram:
+def _cached_diagram(d: int, cache_dir: Path | None, **search) -> UncertaintyDiagram:
     """Enumerate, or read the cache file written by an identical run.
 
     A missing, unreadable, truncated or incomplete cache file is a miss: the
@@ -89,35 +71,19 @@ def _cached_diagram(config: RunConfig, d: int) -> UncertaintyDiagram:
     temporary file and ``os.replace``, so a reader never sees half a file.
     """
     path = None
-    if config.cache_dir is not None:
-        key_src = json.dumps(
-            {
-                "d": d,
-                "engine": config.engine,
-                "rank_tol": config.rank_tol,
-                "sym_reduce": config.sym_reduce,
-                "max_checks": config.max_checks,
-                "version": __version__,
-            },
-            sort_keys=True,
-        )
+    if cache_dir is not None:
+        key_src = json.dumps({"d": d, **search, "version": __version__}, sort_keys=True)
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
-        path = config.cache_dir / f"diagram-d{d}-{key}.json"
+        path = cache_dir / f"diagram-d{d}-{key}.json"
         try:
             cached = load_diagram(path)
         except (OSError, ValueError, KeyError, TypeError):
             cached = None
         if cached is not None and cached.d == d and len(cached.points) == d * d:
             return cached
-    diag = enumerate_diagram(
-        dft_matrix(d),
-        engine=config.engine,
-        rank_tol=config.rank_tol,
-        sym_reduce=config.sym_reduce,
-        max_checks=config.max_checks,
-    )
+    diag = enumerate_diagram(dft_matrix(d), **search)
     if path is not None:
-        config.cache_dir.mkdir(parents=True, exist_ok=True)
+        cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         save_diagram(tmp, diag)
         os.replace(tmp, path)
@@ -136,29 +102,41 @@ def _exit_codes():
         raise click.UsageError(str(exc)) from exc
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--engine",
-        type=click.Choice(["auto", "exact", "numeric", "both"]),
-        default="auto",
-        show_default=True,
-        help="Rank engine; auto picks exact for d <= 9, numeric above.",
-    )(fn)
-    fn = click.option("--sym-reduce/--no-sym-reduce", default=False, show_default=True)(fn)
-    fn = click.option("--eps-support", type=float, default=1e-10, show_default=True)(fn)
-    fn = click.option("--eps-classical", type=float, default=1e-10, show_default=True)(fn)
-    fn = click.option("--rank-tol", type=float, default=1e-10, show_default=True)(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--max-checks", type=int, default=None, help="Per-point candidate budget.")(fn)
-    fn = click.option("--allow-partial", is_flag=True, default=False)(fn)
-    fn = click.option(
-        "--cache",
-        "cache_dir",
-        type=click.Path(file_okay=False, path_type=Path),
-        default=None,
-        help="Directory for reusable diagram enumerations.",
-    )(fn)
-    return fn
+def _positive_finite(ctx, param, value: float) -> float:
+    """Tolerance check; ``click.FloatRange(min=0, min_open=True)`` would admit nan and inf."""
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be a positive finite number, got {value}")
+    return value
+
+
+_tolerance = partial(
+    click.option, type=float, default=1e-10, show_default=True, callback=_positive_finite
+)
+_engine = click.option(
+    "--engine",
+    type=click.Choice(["auto", "exact", "numeric", "both"]),
+    default="auto",
+    show_default=True,
+    help="Rank engine; auto picks exact for d <= 9, numeric above.",
+)
+_sym_reduce = click.option("--sym-reduce/--no-sym-reduce", default=False, show_default=True)
+_rank_tol = _tolerance("--rank-tol")
+_max_checks = click.option("--max-checks", type=int, default=None, help="Per-point candidate budget.")
+_eps_support = _tolerance("--eps-support")
+_eps_classical = _tolerance("--eps-classical")
+_seed = click.option("--seed", type=int, default=None)
+_cache = click.option(
+    "--cache",
+    "cache_dir",
+    type=click.Path(file_okay=False, path_type=Path),
+    default=None,
+    help="Directory for reusable diagram enumerations.",
+)
+
+
+def _search_options(fn):
+    """The point-search options, named as the keywords of ``enumerate_diagram``."""
+    return _engine(_sym_reduce(_rank_tol(_max_checks(fn))))
 
 
 @click.group()
@@ -172,16 +150,17 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@_common_options
-def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
+@_search_options
+@click.option("--allow-partial", is_flag=True, default=False)
+@_cache
+def cmd_diagram(dim, out, csv_path, svg_path, allow_partial, cache_dir, **search) -> None:
     """Enumerate the uncertainty diagram for one dimension."""
     dims = _parse_dims(dim)
     if len(dims) != 1:
         raise click.UsageError("diagram takes a single dimension")
-    config = RunConfig(**kwargs)
     d = dims[0]
     with _exit_codes():
-        diag = _cached_diagram(config, d)
+        diag = _cached_diagram(d, cache_dir, **search)
     if out is not None:
         save_diagram(out, diag)
     if csv_path is not None:
@@ -197,7 +176,7 @@ def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
     )
     if out is None and csv_path is None and svg_path is None:
         click.echo(diagram_to_csv(diag), nl=False)
-    if n_unknown and not config.allow_partial:
+    if n_unknown and not allow_partial:
         click.echo("unresolved points present; rerun with --allow-partial to accept", err=True)
         sys.exit(EXIT_ABORTED)
 
@@ -205,10 +184,10 @@ def cmd_diagram(dim, out, csv_path, svg_path, **kwargs) -> None:
 @main.command("classify")
 @click.argument("state_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--d", "dim", type=int, default=None, help="Expected dimension.")
-@_common_options
-def cmd_classify(state_file, dim, **kwargs) -> None:
+@_eps_support
+@_eps_classical
+def cmd_classify(state_file, dim, eps_support, eps_classical) -> None:
     """Classify a state from a JSON file against the DFT basis pair."""
-    config = RunConfig(**kwargs)
     try:
         psi = load_state(state_file)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -216,8 +195,8 @@ def cmd_classify(state_file, dim, **kwargs) -> None:
     if dim is not None and psi.d != dim:
         raise click.UsageError(f"state has d={psi.d}, expected {dim}")
     u = dft_matrix(psi.d)
-    profile = support_profile(psi, u, eps=config.eps_support)
-    result = classify_state(psi, u, eps=config.eps_classical)
+    profile = support_profile(psi, u, eps=eps_support)
+    result = classify_state(psi, u, eps=eps_classical)
     try:
         t4 = predict_classicality_dft(profile).value
     except SupportThresholdError as exc:
@@ -250,28 +229,26 @@ def cmd_classify(state_file, dim, **kwargs) -> None:
 @click.option("--d", "dim", type=str, required=True, help="Dimension or range A..B.")
 @click.option("--samples", type=int, default=None, help="Sampled states per dimension.")
 @click.option("--pairs", type=int, default=None, help="Random MUB pairs per dimension (T5).")
-@_common_options
-def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
+@_search_options
+@_seed
+@_cache
+def cmd_verify(theorem, dim, samples, pairs, seed, cache_dir, **search) -> None:
     """Check one named prediction or property suite over a dimension range."""
     dims = _parse_dims(dim)
-    config = RunConfig(**kwargs)
     with _exit_codes():
         rows = verify_suite(
             theorem,
             dims,
-            lambda d: _cached_diagram(config, d),
+            lambda d: _cached_diagram(d, cache_dir, **search),
             samples=samples,
             pairs=pairs,
-            seed=config.seed if config.seed is not None else 0,
-            rank_tol=config.rank_tol,
+            seed=0 if seed is None else seed,
+            rank_tol=search["rank_tol"],
         )
-    failed = False
     for row in rows:
         mark = "PASS" if row.passed else ("INFO" if row.passed is None else "FAIL")
-        if row.passed is False:
-            failed = True
         click.echo(f"{row.label:<3} d={row.d:<3} {mark}  {row.detail}")
-    if failed:
+    if any(row.passed is False for row in rows):
         sys.exit(EXIT_MISMATCH)
 
 
@@ -280,45 +257,35 @@ def cmd_verify(theorem, dim, samples, pairs, **kwargs) -> None:
 @click.argument("n_a", type=int)
 @click.argument("n_b", type=int)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@_common_options
-def cmd_witness(dim, n_a, n_b, out, **kwargs) -> None:
+@_search_options
+@_seed
+@_eps_support
+@_eps_classical
+def cmd_witness(dim, n_a, n_b, out, seed, eps_support, eps_classical, **search) -> None:
     """Emit a state realizing a Present diagram point."""
-    config = RunConfig(**kwargs)
     with _exit_codes():
         u = dft_matrix(dim)
-        point = point_exists(
-            u,
-            n_a,
-            n_b,
-            engine=config.engine,
-            rank_tol=config.rank_tol,
-            sym_reduce=config.sym_reduce,
-            max_checks=config.max_checks,
-        )
+        point = point_exists(u, n_a, n_b, **search)
     if point.status is PointStatus.UNKNOWN:
         click.echo(f"point ({n_a}, {n_b}) unresolved: {point.note}", err=True)
         sys.exit(EXIT_ABORTED)
     if point.status is PointStatus.HOLE:
         click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
         sys.exit(EXIT_MISMATCH)
-    psi = witness_state(u, point, seed=config.seed, eps_support=config.eps_support)
+    psi = witness_state(u, point, seed=seed, eps_support=eps_support)
     if out is not None:
         save_state(out, psi)
-    profile = support_profile(psi, u, eps=config.eps_support)
-    result = classify_state(psi, u, eps=config.eps_classical)
-    click.echo(
-        json.dumps(
-            {
-                "d": dim,
-                "n_a": profile.n_a,
-                "n_b": profile.n_b,
-                "verdict": result.verdict.value,
-                "rows": list(point.certificate.rows),
-                "cols": list(point.certificate.cols),
-            },
-            indent=2,
-        )
-    )
+    profile = support_profile(psi, u, eps=eps_support)
+    result = classify_state(psi, u, eps=eps_classical)
+    report = {
+        "d": dim,
+        "n_a": profile.n_a,
+        "n_b": profile.n_b,
+        "verdict": result.verdict.value,
+        "rows": list(point.certificate.rows),
+        "cols": list(point.certificate.cols),
+    }
+    click.echo(json.dumps(report, indent=2))
 
 
 if __name__ == "__main__":

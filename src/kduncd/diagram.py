@@ -144,7 +144,6 @@ class UncertaintyDiagram:
 
     d: int
     engine: str
-    sym_reduce: bool
     points: dict[tuple[int, int], DiagramPoint]
     elapsed: float = 0.0
     stats: dict = field(default_factory=dict)
@@ -459,7 +458,6 @@ def enumerate_diagram(
     return UncertaintyDiagram(
         d=u.d,
         engine=eng,
-        sym_reduce=sym_reduce,
         points=points,
         elapsed=elapsed,
         stats=stats,
@@ -655,9 +653,7 @@ def load_diagram(path: str | Path) -> UncertaintyDiagram:
         points[(int(entry["na"]), int(entry["nb"]))] = DiagramPoint(
             n_a=int(entry["na"]), n_b=int(entry["nb"]), status=status, certificate=cert
         )
-    return UncertaintyDiagram(
-        d=d, engine=str(payload["engine"]), sym_reduce=False, points=points
-    )
+    return UncertaintyDiagram(d=d, engine=str(payload["engine"]), points=points)
 
 
 def diagram_to_csv(diag: UncertaintyDiagram) -> str:

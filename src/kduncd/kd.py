@@ -162,13 +162,19 @@ class StateVector:
 
 def state_from_amplitudes(amps, *, normalize: bool = True) -> StateVector:
     a = np.array(amps, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(a))
+    scale = 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = float(np.linalg.norm(a))
+    if not 0.0 < nrm < math.inf:
+        # the sum of squares under- or overflowed: divide by the largest part first
+        scale = float(np.abs(a.view(float)).max(initial=0.0)) or 1.0
+        nrm = float(np.linalg.norm(a / scale))
     if nrm == 0.0:
         raise ValueError("state vector must be nonzero")
     if normalize:
-        a = a / nrm
+        a = a / scale / nrm
     a.setflags(write=False)
-    return StateVector(d=a.size, amps_a=a, norm=nrm)
+    return StateVector(d=a.size, amps_a=a, norm=scale * nrm)
 
 
 def basis_state(d: int, i: int) -> StateVector:
@@ -357,10 +363,7 @@ def load_state(path: str | Path) -> StateVector:
             raise ValueError(
                 f"{path}: amplitude {i} is {json.dumps(amp)}, not a [re, im] pair of finite numbers"
             )
-    amps = np.array([complex(re, im) for re, im in raw], dtype=complex)
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
-        raise ValueError("state file holds the zero vector")
-    if abs(nrm - 1.0) > 1e-6:
-        warnings.warn(f"state norm {nrm:.8g} deviates from 1; normalizing", stacklevel=2)
-    return state_from_amplitudes(amps)
+    psi = state_from_amplitudes([complex(re, im) for re, im in raw])
+    if abs(psi.norm - 1.0) > 1e-6:
+        warnings.warn(f"state norm {psi.norm:.8g} deviates from 1; normalizing", stacklevel=2)
+    return psi

@@ -58,39 +58,16 @@ def _fmt_points(points) -> str:
     return "{" + ", ".join(f"({a},{b})" for a, b in sorted(points)) + "}"
 
 
-def verify_theorem1(dims: Sequence[int], diagrams: DiagramProvider) -> list[VerifyRow]:
+def _verify_claims(
+    dims: Sequence[int], diagrams: DiagramProvider, label: str, predict, passing: str
+) -> list[VerifyRow]:
+    """Every point the rule claims must be Present; ``passing`` may name ``{n}`` claims."""
     rows = []
     for d in dims:
-        pred = predict_theorem1(d)
-        present = diagrams(d).present_set()
-        missing = pred.points - present
-        rows.append(
-            VerifyRow(
-                d=d,
-                label="T1",
-                passed=not missing,
-                detail="all claims present" if not missing else f"missing {_fmt_points(missing)}",
-            )
-        )
-    return rows
-
-
-def verify_corollary1(dims: Sequence[int], diagrams: DiagramProvider) -> list[VerifyRow]:
-    rows = []
-    for d in dims:
-        pred = predict_corollary1(d)
-        present = diagrams(d).present_set()
-        missing = pred.points - present
-        rows.append(
-            VerifyRow(
-                d=d,
-                label="C1",
-                passed=not missing,
-                detail=f"{len(pred.points)} half-plane points present"
-                if not missing
-                else f"missing {_fmt_points(missing)}",
-            )
-        )
+        pred = predict(d)
+        missing = pred.points - diagrams(d).present_set()
+        detail = f"missing {_fmt_points(missing)}" if missing else passing.format(n=len(pred.points))
+        rows.append(VerifyRow(d=d, label=label, passed=not missing, detail=detail))
     return rows
 
 
@@ -293,9 +270,11 @@ def verify_suite(
     ]
     dims = [d for d in dims if d >= low]
     if theorem == "T1":
-        rows = verify_theorem1(dims, diagrams)
+        rows = _verify_claims(dims, diagrams, "T1", predict_theorem1, "all claims present")
     elif theorem == "C1":
-        rows = verify_corollary1(dims, diagrams)
+        rows = _verify_claims(
+            dims, diagrams, "C1", predict_corollary1, "{n} half-plane points present"
+        )
     elif theorem == "T2":
         rows = verify_theorem2(dims, diagrams)
     elif theorem == "T3":

@@ -165,7 +165,7 @@ def test_criterion_10_determinism(tmp_path):
         svg = tmp_path / f"{tag}.svg"
         result = runner.invoke(
             main,
-            ["diagram", "--d", "9", "--seed", "7", "--out", str(out),
+            ["diagram", "--d", "9", "--out", str(out),
              "--csv", str(csv), "--svg", str(svg)],
         )
         assert result.exit_code == 0, result.output

@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -123,6 +124,57 @@ def test_usage_errors_exit_two_without_traceback(runner, args):
     assert "Error:" in result.output
 
 
+_SEARCH = {"--engine", "--sym-reduce", "--rank-tol", "--max-checks"}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("diagram", {"--d", "--out", "--csv", "--svg", *_SEARCH, "--allow-partial", "--cache"}),
+        ("classify", {"--d", "--eps-support", "--eps-classical"}),
+        ("verify", {"--d", "--samples", "--pairs", *_SEARCH, "--seed", "--cache"}),
+        ("witness", {"--d", "--out", *_SEARCH, "--seed", "--eps-support", "--eps-classical"}),
+    ],
+    ids=["diagram", "classify", "verify", "witness"],
+)
+def test_each_command_declares_only_the_options_it_reads(command, options):
+    params = main.commands[command].params
+    assert {p.opts[0] for p in params if isinstance(p, click.Option)} == options
+
+
+def test_options_a_command_does_not_read_are_rejected(runner, tmp_path):
+    path = tmp_path / "basis.json"
+    save_state(path, basis_state(4, 0))
+    for args in (["diagram", "--d", "4", "--seed", "7"], ["classify", str(path), "--engine", "exact"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagram", "--d", "4", "--engine", "numeric", "--rank-tol"],
+        ["verify", "L3", "--d", "4", "--rank-tol"],
+        ["witness", "--d", "6", "2", "3", "--rank-tol"],
+        ["witness", "--d", "6", "2", "3", "--eps-support"],
+        ["witness", "--d", "6", "2", "3", "--eps-classical"],
+        ["classify", "STATE", "--eps-support"],
+        ["classify", "STATE", "--eps-classical"],
+    ],
+    ids=lambda args: f"{args[0]}{args[-1]}",
+)
+def test_tolerances_must_be_positive_and_finite(runner, tmp_path, args, value):
+    state = tmp_path / "hyperbola.json"
+    save_state(state, state_from_amplitudes([1, 0, 0, 1, 0, 0]))
+    args = [str(state) if a == "STATE" else a for a in args]
+    result = runner.invoke(main, [*args, value])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "must be a positive finite number" in result.output
+
+
 def test_classify_basis_state(runner, tmp_path):
     path = tmp_path / "basis.json"
     save_state(path, basis_state(5, 2))
@@ -180,6 +232,34 @@ def test_classify_rejects_bad_amplitudes(runner, tmp_path, amps):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "amplitude 0" in result.output
+
+
+@pytest.mark.parametrize(
+    "amps, n_a",
+    [
+        ("[[1, 0], [1e308, 0]]", 1),
+        ("[[1.7e308, 0], [1.7e308, 0]]", 2),
+        ("[[1e-200, 0], [0, 0]]", 1),
+    ],
+    ids=["one-huge", "both-near-float-max", "tiny"],
+)
+def test_classify_normalizes_without_overflow_or_underflow(runner, tmp_path, amps, n_a):
+    path = tmp_path / "extreme.json"
+    path.write_text(f'{{"d": 2, "amps_a": {amps}}}')
+    with pytest.warns(UserWarning, match="deviates from 1"):
+        result = runner.invoke(main, ["classify", str(path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert (report["n_a"], report["product"], report["verdict"]) == (n_a, 2, "classical")
+
+
+def test_classify_rejects_the_zero_vector(runner, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text('{"d": 2, "amps_a": [[0, 0], [0, 0]]}')
+    result = runner.invoke(main, ["classify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "malformed state file" in result.output
 
 
 def test_classify_dimension_mismatch(runner, tmp_path):
@@ -269,7 +349,7 @@ def test_diagram_deterministic_small(runner, tmp_path):
         svg = tmp_path / f"{tag}.svg"
         result = runner.invoke(
             main,
-            ["diagram", "--d", "5", "--seed", "7", "--out", str(out),
+            ["diagram", "--d", "5", "--out", str(out),
              "--csv", str(csv), "--svg", str(svg)],
         )
         assert result.exit_code == 0
