@@ -121,7 +121,8 @@ _engine = click.option(
 )
 _sym_reduce = click.option("--sym-reduce/--no-sym-reduce", default=False, show_default=True)
 _rank_tol = _tolerance("--rank-tol")
-_max_checks = click.option("--max-checks", type=int, default=None, help="Per-point candidate budget.")
+_count = partial(click.option, type=click.IntRange(min=1), default=None)
+_max_checks = _count("--max-checks", help="Per-point candidate budget.")
 _eps_support = _tolerance("--eps-support")
 _eps_classical = _tolerance("--eps-classical")
 _seed = click.option("--seed", type=int, default=None)
@@ -227,8 +228,8 @@ def cmd_classify(state_file, dim, eps_support, eps_classical) -> None:
     "theorem", type=click.Choice(["T1", "C1", "T2", "T3", "T4", "T5", "L3"], case_sensitive=False)
 )
 @click.option("--d", "dim", type=str, required=True, help="Dimension or range A..B.")
-@click.option("--samples", type=int, default=None, help="Sampled states per dimension.")
-@click.option("--pairs", type=int, default=None, help="Random MUB pairs per dimension (T5).")
+@_count("--samples", help="Sampled states per dimension.")
+@_count("--pairs", help="Random MUB pairs per dimension (T5).")
 @_search_options
 @_seed
 @_cache

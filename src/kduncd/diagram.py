@@ -47,7 +47,6 @@ from .linalg import (
     _exact_rank_int,
     _numeric_rank,
     rank,
-    submatrix,
 )
 from .states import _as_rng, random_state_in_subspace
 
@@ -176,6 +175,12 @@ class UncertaintyDiagram:
 # cached rank oracle
 
 
+def _dft_block(d: int, rows, cols) -> list[list[tuple[tuple[int, int]]]]:
+    """The block w^(i*j), i in ``rows``, j in ``cols``, of the unscaled DFT,
+    as one (exponent, coefficient) term per entry for the exact engine."""
+    return [[((i * j % d, 1),) for j in cols] for i in rows]
+
+
 class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
@@ -196,10 +201,6 @@ class _RankOracle:
         self._necklaces: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._canonical = u.kind is TransitionKind.DFT
         self._numeric = u.numeric
-        if engine in (ENGINE_EXACT, ENGINE_BOTH):
-            if u.exact_view is None:
-                raise ValueError("exact engine requires a transition matrix with an exact view")
-            self._monomials = tuple(((e, 1),) for e in range(self.d))
 
     def _necklace(self, s: tuple[int, ...]) -> tuple[int, ...]:
         v = self._necklaces.get(s)
@@ -222,11 +223,8 @@ class _RankOracle:
     def _compute_exact(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         # A minor has at most k rows of k unimodular entries, so Hadamard's
         # bound caps it at k^(k/2) in every embedding.
-        d = self.d
-        mono = self._monomials
         k = min(len(rows), len(cols))
-        mat = [[mono[i * j % d] for j in cols] for i in rows]
-        return _exact_rank_int(mat, d, k**k)[0]
+        return _exact_rank_int(_dft_block(self.d, rows, cols), self.d, k**k)[0]
 
     def _compute_numeric(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         if not rows or not cols:
@@ -255,14 +253,16 @@ class _RankOracle:
 
 def _resolve_engine(u: TransitionMatrix, engine: str, allow_large: bool) -> str:
     if engine == "auto":
-        if u.exact_view is not None and u.d <= EXACT_DIMENSION_LIMIT:
+        if u.kind is TransitionKind.DFT and u.d <= EXACT_DIMENSION_LIMIT:
             engine = ENGINE_EXACT
         else:
             engine = ENGINE_NUMERIC
     if engine not in (ENGINE_EXACT, ENGINE_NUMERIC, ENGINE_BOTH):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine != ENGINE_NUMERIC and u.kind is not TransitionKind.DFT:
+        raise ValueError("exact engine requires the DFT transition matrix")
     if not allow_large:
-        if engine in (ENGINE_EXACT, ENGINE_BOTH) and u.d > EXACT_DIMENSION_LIMIT:
+        if engine != ENGINE_NUMERIC and u.d > EXACT_DIMENSION_LIMIT:
             raise ValueError(
                 f"exact engine is limited to d <= {EXACT_DIMENSION_LIMIT} by default"
             )
@@ -331,15 +331,15 @@ def check_submatrix_conditions(
         raise ValueError("row index out of range")
     if not cols or cols[0] < 0 or cols[-1] >= d:
         raise ValueError("column selection must be a nonempty subset of the index range")
-    eng = _resolve_engine(u, engine, allow_large=True)
-    view = u.exact_view if eng in (ENGINE_EXACT, ENGINE_BOTH) else u.numeric_view
-    if view is None:
-        raise ValueError("exact engine requires an exact view")
+    exact = _resolve_engine(u, engine, allow_large=True) != ENGINE_NUMERIC
 
     certs: list[RankCertificate] = []
 
     def rank_of(r, c) -> int:
-        certs.append(rank(submatrix(view, r, c), tol=rank_tol))
+        if exact:
+            certs.append(rank(_dft_block(d, r, c), order=d))
+        else:
+            certs.append(rank(u.numeric[np.ix_(r, c)], tol=rank_tol))
         return certs[-1].rank
 
     ok = _conditions_hold(rank_of, d, rows, cols)

@@ -25,9 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclotomic import root_power
-from .linalg import CMatrix
-
 __all__ = [
     "Classicality",
     "KDDist",
@@ -81,21 +78,15 @@ class SupportThresholdError(ValueError):
 class TransitionMatrix:
     """Unitary transition matrix between two orthonormal bases.
 
-    ``numeric_view`` always holds the complex entries <a_i|b_j>.  For the DFT
-    pair, ``exact_view`` additionally holds the unscaled root-of-unity entries
-    w^(i*j); the 1/sqrt(d) prefactor is dropped there because rank and
-    nullspace are invariant under global scaling and sqrt(d) is irrational in
-    the cyclotomic field for non-square d.
+    ``numeric`` holds the complex entries <a_i|b_j>.  For the DFT kind the
+    exact rank engine works on the unscaled entries w^(i*j) instead: rank is
+    invariant under the global 1/sqrt(d), and sqrt(d) is irrational in the
+    cyclotomic field for non-square d.
     """
 
     d: int
     kind: TransitionKind
-    numeric_view: CMatrix
-    exact_view: CMatrix | None = None
-
-    @property
-    def numeric(self) -> np.ndarray:
-        return self.numeric_view.entries
+    numeric: np.ndarray
 
 
 def _validate_unitary(a: np.ndarray) -> None:
@@ -121,10 +112,7 @@ def transition_from_unitary(
         if np.max(np.abs(a - _dft_entries(d))) > _DFT_PATTERN_TOL:
             raise ValueError("DFT kind requires entries w^(i*j)/sqrt(d)")
     a.setflags(write=False)
-    exact = None
-    if kind is TransitionKind.DFT:
-        exact = _dft_exact_view(d)
-    return TransitionMatrix(d=d, kind=kind, numeric_view=CMatrix.from_numeric(a), exact_view=exact)
+    return TransitionMatrix(d=d, kind=kind, numeric=a)
 
 
 def _dft_entries(d: int) -> np.ndarray:
@@ -133,14 +121,9 @@ def _dft_entries(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / math.sqrt(d)
 
 
-def _dft_exact_view(d: int) -> CMatrix:
-    rows = [[root_power(d, i * j) for j in range(d)] for i in range(d)]
-    return CMatrix.from_exact(rows, order=d)
-
-
 @lru_cache(maxsize=None)
 def dft_matrix(d: int) -> TransitionMatrix:
-    """The DFT transition matrix, with both exact and numeric views."""
+    """The DFT transition matrix."""
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     return transition_from_unitary(_dft_entries(d), kind=TransitionKind.DFT)
@@ -162,6 +145,8 @@ class StateVector:
 
 def state_from_amplitudes(amps, *, normalize: bool = True) -> StateVector:
     a = np.array(amps, dtype=complex).reshape(-1)
+    if not np.isfinite(a).all():
+        raise ValueError("state amplitudes must be finite")
     scale = 1.0
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.linalg.norm(a))

@@ -1,6 +1,7 @@
-"""Complex matrices with interchangeable exact and numeric rank engines.
+"""Matrix ranks by an exact and a numeric engine.
 
-The exact engine computes ranks over Q(w), w = exp(2*pi*i/d), by
+The exact engine computes ranks of matrices over Z[w], w = exp(2*pi*i/d),
+each entry a list of (exponent, integer coefficient) terms, by
 elimination modulo primes p = 1 (mod d).  Such a p has a primitive d-th
 root of unity w_p, and sending w^k to w_p^k is a ring map from Z[w] onto
 the integers mod p, so a minor that vanishes over Q(w) vanishes mod p and
@@ -18,24 +19,21 @@ values against a spectral-norm-relative threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyclotomic_polynomial, divisors, is_prime
+from .cyclotomic import cyclotomic_polynomial, divisors, is_prime
 
 __all__ = [
-    "CMatrix",
     "RankCertificate",
     "DEFAULT_RANK_TOL",
     "ENGINE_EXACT",
     "ENGINE_NUMERIC",
     "nullspace_basis",
     "rank",
-    "submatrix",
     "svd_rank",
 ]
 
@@ -43,67 +41,6 @@ ENGINE_EXACT = "exact"
 ENGINE_NUMERIC = "numeric"
 
 DEFAULT_RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class CMatrix:
-    """Dense matrix holding either exact cyclotomic or complex-double entries.
-
-    ``entries`` is a flat row-major tuple of :class:`CycNum` for the exact
-    engine, or a read-only complex ndarray for the numeric engine.  ``order``
-    is the root-of-unity order d of exact entries (None for numeric).
-    """
-
-    rows: int
-    cols: int
-    engine: str
-    entries: tuple[CycNum, ...] | np.ndarray
-    order: int | None = None
-
-    @classmethod
-    def from_numeric(cls, array: np.ndarray) -> CMatrix:
-        a = np.array(array, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("numeric matrix must be two-dimensional")
-        a.setflags(write=False)
-        return cls(rows=a.shape[0], cols=a.shape[1], engine=ENGINE_NUMERIC, entries=a)
-
-    @classmethod
-    def from_exact(cls, rows: Sequence[Sequence[CycNum]], order: int) -> CMatrix:
-        materialized = [list(row) for row in rows]
-        flat: list[CycNum] = []
-        ncols = None
-        for row in materialized:
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
-                raise ValueError("ragged rows in exact matrix")
-            for e in row:
-                if e.d != order:
-                    raise ValueError("exact entries must share one root order")
-                flat.append(e)
-        if ncols is None:
-            ncols = 0
-        return cls(
-            rows=len(materialized), cols=ncols, engine=ENGINE_EXACT,
-            entries=tuple(flat), order=order,
-        )
-
-    def entry(self, i: int, j: int):
-        if self.engine == ENGINE_NUMERIC:
-            return self.entries[i, j]
-        return self.entries[i * self.cols + j]
-
-    def to_numeric(self) -> np.ndarray:
-        """Complex-double view; exact entries are evaluated at the unit root."""
-        if self.engine == ENGINE_NUMERIC:
-            return self.entries
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entries[i * self.cols + j].numeric()
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)
@@ -123,26 +60,6 @@ class RankCertificate:
     def __post_init__(self) -> None:
         if len(self.pivots) != self.rank:
             raise ValueError("pivot list length must equal the rank")
-
-
-def submatrix(m: CMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> CMatrix:
-    """Select the listed rows and columns, in order."""
-    rows = list(row_idx)
-    cols = list(col_idx)
-    for idx, bound, what in ((rows, m.rows, "row"), (cols, m.cols, "column")):
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate {what} index")
-        for k in idx:
-            if not 0 <= k < bound:
-                raise ValueError(f"{what} index {k} out of range")
-    if m.engine == ENGINE_NUMERIC:
-        if not rows or not cols:
-            sub = np.empty((len(rows), len(cols)), dtype=complex)
-        else:
-            sub = m.entries[np.ix_(rows, cols)]
-        return CMatrix.from_numeric(sub)
-    picked = [[m.entry(i, j) for j in cols] for i in rows]
-    return CMatrix.from_exact(picked, order=m.order or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +190,32 @@ def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]
     return tuple(pivots)
 
 
-def rank(m: CMatrix, tol: float = DEFAULT_RANK_TOL) -> RankCertificate:
-    """Rank with an audit certificate, via the matrix's own engine."""
-    if m.engine == ENGINE_EXACT:
-        # Scaling each row by the lcd of its coefficients keeps the rank; an
-        # entry's modulus is at most the l1 norm of its integer coefficients
-        # in every embedding, so the row norms bound every minor.
-        entries = []
-        bound_sq = 1
-        for i in range(m.rows):
-            row = [
-                [(e, c) for e, c in enumerate(m.entry(i, j).coeffs) if c] for j in range(m.cols)
-            ]
-            lcd = math.lcm(*{c.denominator for entry in row for _, c in entry})
-            terms = [[(e, c.numerator * (lcd // c.denominator)) for e, c in entry] for entry in row]
-            entries.append(terms)
-            bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in terms))
-        r, pivots = _exact_rank_int(entries, m.order or 1, bound_sq)
-        return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
-    r = _numeric_rank(m.entries, tol)
-    return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(m.entries, r), tol)
+def rank(a, tol: float = DEFAULT_RANK_TOL, *, order: int | None = None) -> RankCertificate:
+    """Rank with an audit certificate.
 
-
-def nullspace_basis(m: CMatrix, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the right nullspace, as complex vectors.
-
-    Exact matrices are evaluated numerically first.  A matrix with no rows
-    constrains nothing, so the basis is the full coordinate space.
+    Without ``order``, ``a`` is a complex array and the numeric engine counts
+    its singular values.  With ``order=d``, ``a`` is a matrix over Z[w],
+    w = exp(2*pi*i/d), whose entries list (exponent, integer coefficient)
+    terms, and the exact engine certifies its rank.
     """
-    a = m.to_numeric()
+    if order is not None:
+        # An entry's modulus is at most the l1 norm of its coefficients in
+        # every embedding, so the row norms bound every minor.
+        bound_sq = 1
+        for row in a:
+            bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in row))
+        r, pivots = _exact_rank_int(a, order, bound_sq)
+        return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
+    r = _numeric_rank(a, tol)
+    return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(a, r), tol)
+
+
+def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+    """Orthonormal basis of the right nullspace of a complex array.
+
+    A matrix with no rows constrains nothing, so the basis is the full
+    coordinate space.
+    """
     ncols = a.shape[1]
     if ncols == 0:
         return []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kd import StateVector, TransitionKind, TransitionMatrix, dft_matrix, transition_from_unitary
-from .linalg import CMatrix, nullspace_basis
+from .linalg import nullspace_basis
 
 __all__ = [
     "CosetSpec",
@@ -89,11 +89,7 @@ def random_state_in_subspace(
     if s[0] < 0 or s[-1] >= d or t[0] < 0 or t[-1] >= d:
         raise ValueError("support index out of range")
     rows = [i for i in range(d) if i not in set(s)]
-    if rows:
-        constraint = CMatrix.from_numeric(u.numeric[np.ix_(rows, t)])
-    else:
-        constraint = CMatrix.from_numeric(np.empty((0, len(t)), dtype=complex))
-    basis = nullspace_basis(constraint)
+    basis = nullspace_basis(u.numeric[np.ix_(rows, t)])
     if not basis:
         raise ValueError("the constrained subspace is trivial")
     rng = _as_rng(seed)

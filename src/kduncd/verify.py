@@ -259,7 +259,8 @@ def verify_suite(
     """Dispatch a named verification over a dimension range.
 
     A dimension below the rule's minimum gets an informational row instead
-    of a check, so every requested dimension is reported.
+    of a check, so every requested dimension is reported.  A count left at
+    None takes the rule's default.
     """
     theorem = theorem.upper()
     low = _MIN_DIMENSION.get(theorem, 1)
@@ -280,9 +281,16 @@ def verify_suite(
     elif theorem == "T3":
         rows = verify_theorem3(dims, diagrams)
     elif theorem == "T4":
-        rows = verify_theorem4(dims, diagrams, witness_samples=samples or 1000, seed=seed)
+        rows = verify_theorem4(
+            dims, diagrams, witness_samples=1000 if samples is None else samples, seed=seed
+        )
     elif theorem == "T5":
-        rows = verify_theorem5(dims, pairs=pairs or 100, samples=samples or 100, seed=seed)
+        rows = verify_theorem5(
+            dims,
+            pairs=100 if pairs is None else pairs,
+            samples=100 if samples is None else samples,
+            seed=seed,
+        )
     elif theorem == "L3":
         rows = verify_lemma3(dims, rank_tol)
     else:

@@ -175,6 +175,35 @@ def test_tolerances_must_be_positive_and_finite(runner, tmp_path, args, value):
     assert "must be a positive finite number" in result.output
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "T4", "--d", "3", "--samples"],
+        ["verify", "T5", "--d", "3", "--samples"],
+        ["verify", "T5", "--d", "3", "--pairs"],
+        ["diagram", "--d", "4", "--allow-partial", "--max-checks"],
+        ["verify", "T1", "--d", "4", "--max-checks"],
+        ["witness", "--d", "4", "2", "3", "--max-checks"],
+    ],
+    ids=lambda args: f"{args[0]}{args[-1]}",
+)
+def test_counts_must_be_positive(runner, args, value):
+    result = runner.invoke(main, [*args, value])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "x>=1" in result.output
+
+
+def test_verify_suite_defaults_only_missing_counts():
+    from kduncd.verify import verify_suite
+
+    (row,) = verify_suite("T5", [3], None, pairs=0, samples=0)
+    assert row.detail == "0 pairs x 0 states"
+    (row,) = verify_suite("T5", [3], None, pairs=2)
+    assert row.detail == "2 pairs x 100 states"
+
+
 def test_classify_basis_state(runner, tmp_path):
     path = tmp_path / "basis.json"
     save_state(path, basis_state(5, 2))

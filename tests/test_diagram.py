@@ -92,6 +92,8 @@ def test_conditions_validate_indices():
         check_submatrix_conditions(dft_matrix(4), [0, 0], [1])
     with pytest.raises(ValueError):
         check_submatrix_conditions(dft_matrix(4), [0], [])
+    with pytest.raises(ValueError):
+        check_submatrix_conditions(dft_matrix(4), [0], [4])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from kduncd import (
     predict_classicality_dft,
     random_mub_pair,
     random_state_in_subspace,
+    root_power,
     save_state,
     state_from_amplitudes,
     support_profile,
@@ -67,8 +68,8 @@ def test_dft_invariants(d):
     assert np.max(np.abs(a @ a.conj().T - np.eye(d))) < 1e-10
     assert np.max(np.abs(a - a.T)) < 1e-12  # symmetric
     assert np.max(np.abs(np.abs(a) - 1 / math.sqrt(d))) < 1e-10
-    exact_numeric = u.exact_view.to_numeric() / math.sqrt(d)
-    assert np.max(np.abs(a - exact_numeric)) < 1e-12
+    roots = np.array([[root_power(d, i * j).numeric() for j in range(d)] for i in range(d)])
+    assert np.max(np.abs(a - roots / math.sqrt(d))) < 1e-12
 
 
 def test_kd_distribution_of_a_basis_state():
@@ -156,6 +157,16 @@ def test_support_profile_b_basis_state():
 def test_support_profile_rejects_zero_vector():
     with pytest.raises(ValueError):
         state_from_amplitudes([0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [[math.nan, 1], [math.inf, 1], [1, -math.inf], [complex(1, math.nan), 0]],
+    ids=["nan", "inf", "-inf", "nan-imag"],
+)
+def test_state_from_amplitudes_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="finite"):
+        state_from_amplitudes(amps)
 
 
 def test_support_uncertainty_bound_dft():
