@@ -63,12 +63,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _cached_diagram(d: int, cache_dir: Path | None, **search) -> UncertaintyDiagram:
-    """Enumerate, or read the cache file written by an identical run.
+def _cached_diagram(
+    d: int, cache_dir: Path | None, allow_large: bool = False, **search
+) -> UncertaintyDiagram:
+    """Enumerate, or read the cache file written by an identical search.
 
     A missing, unreadable, truncated or incomplete cache file is a miss: the
     diagram is recomputed and the file replaced.  Writes go through a
     temporary file and ``os.replace``, so a reader never sees half a file.
+    ``allow_large`` changes no diagram, so it stays out of the cache key.
     """
     path = None
     if cache_dir is not None:
@@ -81,7 +84,7 @@ def _cached_diagram(d: int, cache_dir: Path | None, **search) -> UncertaintyDiag
             cached = None
         if cached is not None and cached.d == d and len(cached.points) == d * d:
             return cached
-    diag = enumerate_diagram(dft_matrix(d), **search)
+    diag = enumerate_diagram(dft_matrix(d), allow_large=allow_large, **search)
     if path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -119,7 +122,6 @@ _engine = click.option(
     show_default=True,
     help="Rank engine; auto picks exact for d <= 9, numeric above.",
 )
-_sym_reduce = click.option("--sym-reduce/--no-sym-reduce", default=False, show_default=True)
 _rank_tol = _tolerance("--rank-tol")
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
 _max_checks = _count("--max-checks", help="Per-point candidate budget.")
@@ -137,7 +139,7 @@ _cache = click.option(
 
 def _search_options(fn):
     """The point-search options, named as the keywords of ``enumerate_diagram``."""
-    return _engine(_sym_reduce(_rank_tol(_max_checks(fn))))
+    return _engine(_rank_tol(_max_checks(fn)))
 
 
 @click.group()
@@ -153,15 +155,18 @@ def main() -> None:
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @_search_options
 @click.option("--allow-partial", is_flag=True, default=False)
+@click.option("--allow-large", is_flag=True, help="Lift the limits d <= 9 (exact), d <= 12 (all).")
 @_cache
-def cmd_diagram(dim, out, csv_path, svg_path, allow_partial, cache_dir, **search) -> None:
+def cmd_diagram(
+    dim, out, csv_path, svg_path, allow_partial, allow_large, cache_dir, **search
+) -> None:
     """Enumerate the uncertainty diagram for one dimension."""
     dims = _parse_dims(dim)
     if len(dims) != 1:
         raise click.UsageError("diagram takes a single dimension")
     d = dims[0]
     with _exit_codes():
-        diag = _cached_diagram(d, cache_dir, **search)
+        diag = _cached_diagram(d, cache_dir, allow_large, **search)
     if out is not None:
         save_diagram(out, diag)
     if csv_path is not None:

@@ -91,10 +91,6 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def monomial(cls, k: int, coeff: int | Fraction = 1) -> IntPoly:
-        return cls([0] * k + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -102,12 +98,6 @@ class IntPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
-        return acc
 
     def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
@@ -151,9 +141,6 @@ class IntPoly:
                 for i, oc in enumerate(other.coeffs):
                     rem[base + i] -= q * oc
         return IntPoly(quo), IntPoly(rem[:ddeg])
-
-    def __floordiv__(self, other: IntPoly) -> IntPoly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: IntPoly) -> IntPoly:
         return divmod(self, other)[1]
@@ -211,10 +198,6 @@ class CycNum:
     @classmethod
     def one(cls, d: int) -> CycNum:
         return cls(d, [1] + [0] * (d - 1))
-
-    @classmethod
-    def from_rational(cls, d: int, value: int | Fraction) -> CycNum:
-        return cls(d, [value] + [0] * (d - 1))
 
     def _require_same_order(self, other: CycNum) -> None:
         if self.d != other.d:

@@ -18,19 +18,27 @@ the cached rank oracle; the audit of a certifying candidate asks it through
 a closure that keeps every rank certificate, so both see the same rank
 queries in the same order.
 
-Points are decided Present by the first certifying candidate in a fixed
-lexicographic order, or Hole only after the whole candidate space has been
-exhausted.  A configured budget can cut a search short, which yields a
-distinct Unknown outcome, never a Hole.
+A point is Present with the first certifying candidate in lexicographic
+order, columns outer, or Hole only after every candidate is exhausted; a
+budget can cut a search short, which yields Unknown, never a Hole.  For the
+DFT the conditions are unchanged by T -> T + s and R -> R + s' (unit-root
+rescalings of rows and columns) and by (R, T) -> (a^-1 R, aT) for a unit a
+mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search scans only the
+least column set of each orbit under x -> ax + s, and row sets containing
+0.  The full scan's first certifying candidate is among them (a smaller
+member of its column orbit would certify first, and R - min R certifies
+too), and an exhausted quotient rules out every selection.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Callable
@@ -353,15 +361,19 @@ def check_submatrix_conditions(
 # point search and diagram enumeration
 
 
-def _row_candidates(d: int, size: int, sym_reduce: bool):
-    if size == 0:
-        yield ()
-        return
-    if sym_reduce:
-        for rest in combinations(range(1, d), size - 1):
-            yield (0,) + rest
-    else:
-        yield from combinations(range(d), size)
+@lru_cache(maxsize=None)
+def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Least member of each orbit of ``size``-subsets of Z_d under x -> ax + s,
+    in lex order: the first member met marks its whole orbit as seen."""
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
+    maps = [[(a * x + s) % d for x in range(d)] for a in units for s in range(d)]
+    seen: set[int] = set()
+    reps = []
+    for cols in combinations(range(d), size):
+        if sum(1 << x for x in cols) not in seen:
+            reps.append(cols)
+            seen.update(sum(1 << m[x] for x in cols) for m in maps)
+    return tuple(reps)
 
 
 def _find_point(
@@ -369,7 +381,6 @@ def _find_point(
     oracle: _RankOracle,
     n_a: int,
     n_b: int,
-    sym_reduce: bool,
     max_checks: int | None,
     rank_tol: float,
 ) -> DiagramPoint:
@@ -377,11 +388,16 @@ def _find_point(
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
-    reduce_rows = sym_reduce and u.kind is TransitionKind.DFT
+    dft = u.kind is TransitionKind.DFT
+    if dft and n_rows:
+        row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
+    else:
+        row_sets = list(combinations(range(d), n_rows))
+    col_sets = _column_representatives(d, n_b) if dft else combinations(range(d), n_b)
     rank_of = oracle.rank_of
     checks = 0
-    for cols in combinations(range(d), n_b):
-        for rows in _row_candidates(d, n_rows, reduce_rows):
+    for cols in col_sets:
+        for rows in row_sets:
             checks += 1
             if max_checks is not None and checks > max_checks:
                 return DiagramPoint(
@@ -421,10 +437,14 @@ def point_exists(
     max_checks: int | None = None,
     allow_large: bool = False,
 ) -> DiagramPoint:
-    """Decide one lattice point by searching all row/column selections."""
+    """Decide one lattice point by searching the row/column selections.
+
+    ``sym_reduce`` is ignored, as the DFT search always scans the quotient.
+    It stays only because ``perfbench/bench.py`` and
+    ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``."""
     eng = _resolve_engine(u, engine, allow_large)
     oracle = _RankOracle(u, eng, rank_tol)
-    return _find_point(u, oracle, n_a, n_b, sym_reduce, max_checks, rank_tol)
+    return _find_point(u, oracle, n_a, n_b, max_checks, rank_tol)
 
 
 def enumerate_diagram(
@@ -438,8 +458,8 @@ def enumerate_diagram(
 ) -> UncertaintyDiagram:
     """Assign Present/Hole (or Unknown under a budget) to every lattice point.
 
-    One rank cache serves the whole run, so the deterministic per-point
-    searches stay cheap even without symmetry reduction.
+    One rank cache serves the whole run.  ``sym_reduce`` is ignored, as in
+    ``point_exists``.
     """
     eng = _resolve_engine(u, engine, allow_large)
     oracle = _RankOracle(u, eng, rank_tol)
@@ -447,9 +467,7 @@ def enumerate_diagram(
     points: dict[tuple[int, int], DiagramPoint] = {}
     for n_a in range(1, u.d + 1):
         for n_b in range(1, u.d + 1):
-            points[(n_a, n_b)] = _find_point(
-                u, oracle, n_a, n_b, sym_reduce, max_checks, rank_tol
-            )
+            points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b, max_checks, rank_tol)
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,

@@ -113,6 +113,8 @@ def verify_theorem4(
 ) -> list[VerifyRow]:
     """Hyperbola states classify classical; above-hyperbola witnesses classify
     nonclassical."""
+    if min(coset_samples, witness_samples) < 1:
+        raise ValueError("sample counts must be at least 1")  # else nothing is checked
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:
@@ -165,6 +167,8 @@ def verify_theorem5(
     other large enough to keep the subspace nontrivial, so both one-sided and
     mixed support shapes are exercised.
     """
+    if min(pairs, samples) < 1:
+        raise ValueError("pair and sample counts must be at least 1")
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:

@@ -143,16 +143,18 @@ def test_criterion_08_sampling_oracle_equivalence(diagram_cache):
 
 
 def test_criterion_09_engine_agreement(diagram_cache):
-    requests = 0
-    for d in (8, 9):
-        both = diagram_cache(d, engine="both")  # raises on any disagreement
+    # "both" computes each rank the cache misses with both engines and raises
+    # on a disagreement; a cache hit compares nothing, so count the misses
+    compared = 0
+    for d in (8, 9, 10):
+        both = diagram_cache(d, engine="both", allow_large=True)
         baseline = diagram_cache(d)
         assert {k: p.status for k, p in both.points.items()} == {
             k: p.status for k, p in baseline.points.items()
         }
-        requests += both.stats["rank_requests"]
-    assert requests > 100_000
-    _announce(9, f"exact and numeric ranks agree across {requests} enumeration queries")
+        compared += both.stats["rank_computed"]
+    assert compared > 3000
+    _announce(9, f"exact and numeric engines agree on all {compared} ranks computed")
 
 
 @pytest.mark.slow

@@ -84,6 +84,20 @@ def test_diagram_cache_reuse(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_diagram_allow_large_lifts_the_size_limit(runner, tmp_path):
+    args = ["diagram", "--d", "10", "--engine", "exact", "--cache", str(tmp_path)]
+    refused = runner.invoke(main, args)
+    assert refused.exit_code == 2, refused.output
+    allowed = runner.invoke(main, args + ["--allow-large"])
+    assert allowed.exit_code == 0, allowed.output
+    assert allowed.output.startswith("d=10 engine=exact present=66 holes=34 unknown=0")
+    # the flag does not enter the cache key, so verify reads the same file
+    verify = ["verify", "T2", "--d", "10", "--engine", "exact", "--cache", str(tmp_path)]
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 0, result.output
+    assert len(list(tmp_path.glob("diagram-*.json"))) == 1
+
+
 def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
     cache = tmp_path / "cache"
     cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
@@ -124,13 +138,17 @@ def test_usage_errors_exit_two_without_traceback(runner, args):
     assert "Error:" in result.output
 
 
-_SEARCH = {"--engine", "--sym-reduce", "--rank-tol", "--max-checks"}
+_SEARCH = {"--engine", "--rank-tol", "--max-checks"}
 
 
 @pytest.mark.parametrize(
     "command, options",
     [
-        ("diagram", {"--d", "--out", "--csv", "--svg", *_SEARCH, "--allow-partial", "--cache"}),
+        (
+            "diagram",
+            {"--d", "--out", "--csv", "--svg", *_SEARCH, "--allow-partial", "--allow-large",
+             "--cache"},
+        ),
         ("classify", {"--d", "--eps-support", "--eps-classical"}),
         ("verify", {"--d", "--samples", "--pairs", *_SEARCH, "--seed", "--cache"}),
         ("witness", {"--d", "--out", *_SEARCH, "--seed", "--eps-support", "--eps-classical"}),
@@ -198,10 +216,28 @@ def test_counts_must_be_positive(runner, args, value):
 def test_verify_suite_defaults_only_missing_counts():
     from kduncd.verify import verify_suite
 
-    (row,) = verify_suite("T5", [3], None, pairs=0, samples=0)
-    assert row.detail == "0 pairs x 0 states"
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_suite("T5", [3], None, pairs=0, samples=0)
     (row,) = verify_suite("T5", [3], None, pairs=2)
     assert row.detail == "2 pairs x 100 states"
+
+
+@pytest.mark.parametrize(
+    "counts", [{"coset_samples": 0}, {"witness_samples": 0}, {"witness_samples": -1}]
+)
+def test_theorem4_rejects_counts_below_one(counts):
+    from kduncd.verify import verify_theorem4
+
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_theorem4([3], None, **counts)
+
+
+@pytest.mark.parametrize("counts", [{"pairs": 0}, {"samples": 0}, {"pairs": -1}])
+def test_theorem5_rejects_counts_below_one(counts):
+    from kduncd.verify import verify_theorem5
+
+    with pytest.raises(ValueError, match="must be at least 1"):
+        verify_theorem5([3], **counts)
 
 
 def test_classify_basis_state(runner, tmp_path):

@@ -1,4 +1,6 @@
 import json
+import math
+from itertools import combinations
 
 import pytest
 
@@ -22,10 +24,13 @@ from kduncd import (
     predict_theorem1,
     predict_theorem2,
     predict_theorem3,
+    random_mub_pair,
     save_diagram,
     support_profile,
     witness_state,
 )
+from kduncd.diagram import _column_representatives, _conditions_hold, _RankOracle
+from kduncd.linalg import DEFAULT_RANK_TOL
 
 from sampling_oracle import sampled_present_set
 
@@ -161,13 +166,68 @@ def test_no_present_point_below_hyperbola(d, diagram_cache):
     assert all(a * b >= d for a, b in diagram_cache(d).present_set())
 
 
-@pytest.mark.parametrize("d", range(1, 9))
-def test_sym_reduce_gives_identical_statuses(d):
-    full = enumerate_diagram(dft_matrix(d), sym_reduce=False)
-    reduced = enumerate_diagram(dft_matrix(d), sym_reduce=True)
-    assert {k: p.status for k, p in full.points.items()} == {
-        k: p.status for k, p in reduced.points.items()
+def _full_scan(u, engine, points):
+    """Status and first certifying (rows, cols) of each point, found by
+    scanning every selection in lexicographic order, columns outer."""
+    d = u.d
+    oracle = _RankOracle(u, engine, DEFAULT_RANK_TOL)
+    found = {}
+    for n_a, n_b in points:
+        found[(n_a, n_b)] = (PointStatus.HOLE, None)
+        for cols in combinations(range(d), n_b):
+            rows = next(
+                (r for r in combinations(range(d), d - n_a)
+                 if _conditions_hold(oracle.rank_of, d, r, cols)),
+                None,
+            )
+            if rows is not None:
+                found[(n_a, n_b)] = (PointStatus.PRESENT, (rows, cols))
+                break
+    return found
+
+
+def _outcomes(diag):
+    return {
+        k: (p.status, p.certificate and (p.certificate.rows, p.certificate.cols))
+        for k, p in diag.points.items()
     }
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_quotient_search_matches_full_scan(d, engine, diagram_cache):
+    # the orbit quotient must give every status and certificate of the scan
+    # over all row and column selections
+    diag = diagram_cache(d, engine=engine)
+    assert _outcomes(diag) == _full_scan(dft_matrix(d), engine, diag.points)
+
+
+def test_general_matrix_search_scans_every_selection():
+    # the affine symmetries are those of the DFT; another basis pair keeps
+    # the full scan
+    u = random_mub_pair(6, seed=0)
+    diag = enumerate_diagram(u, engine="numeric")
+    assert _outcomes(diag) == _full_scan(u, "numeric", diag.points)
+
+
+def test_column_representatives_are_orbit_minima():
+    # pairs of Z_8 up to x -> ax + s are classed by their difference up to
+    # sign and units: 1, 2 or 4
+    assert _column_representatives(8, 2) == ((0, 1), (0, 2), (0, 4))
+    for d in range(1, 9):
+        units = [a for a in range(d) if math.gcd(a, d) == 1]
+        for size in range(d + 1):
+            reps = _column_representatives(d, size)
+            assert list(reps) == sorted(reps)
+            orbit_min = {
+                cols: min(
+                    tuple(sorted((a * x + s) % d for x in cols))
+                    for a in units
+                    for s in range(d)
+                )
+                for cols in combinations(range(d), size)
+            }
+            assert set(reps) == set(orbit_min.values())
 
 
 @pytest.mark.parametrize("d", [5, 6, 7])
@@ -185,12 +245,26 @@ def test_enumerate_rejects_oversized_exact():
 
 
 @pytest.mark.slow
-def test_engine_agreement_full_d10_enumeration():
+def test_engine_agreement_full_d10_enumeration(diagram_cache):
     """Every rank the d=10 enumeration touches agrees across engines (the
     exact engine is forced past its default size limit for the comparison)."""
-    diag = enumerate_diagram(dft_matrix(10), engine="both", allow_large=True)
+    diag = diagram_cache(10, engine="both", allow_large=True)
     assert not diag.unknown_set()
     assert diag.is_symmetric()
+
+
+def test_prime_d13_diagram_is_the_half_plane():
+    # Chebotarev/Tao: at prime d the diagram is exactly n_a + n_b >= d + 1
+    u = dft_matrix(13)
+    diag = enumerate_diagram(u, engine="numeric", allow_large=True)
+    assert is_completely_incompatible(u, diagram=diag)
+
+
+@pytest.mark.slow
+def test_prime_d13_diagram_engines_agree():
+    u = dft_matrix(13)
+    diag = enumerate_diagram(u, engine="both", allow_large=True)
+    assert is_completely_incompatible(u, diagram=diag)
 
 
 def test_enumerate_budget_marks_unknown():
