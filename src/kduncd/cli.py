@@ -1,8 +1,9 @@
 """Command-line surface: enumerate diagrams, classify states, run
 verification suites, and emit witness states.
 
-Exit codes: 0 success, 1 verification mismatch or engine disagreement,
-2 usage error, 3 resource abort (Unknown points without --allow-partial).
+Exit codes: 0 success, 1 verification mismatch, engine disagreement or
+failed witness sampling, 2 usage error, 3 resource abort (Unknown points
+without --allow-partial).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .diagram import (
     EngineDisagreementError,
     PointStatus,
     UncertaintyDiagram,
+    WitnessSamplingError,
+    _resolve_engine,
     diagram_to_csv,
     enumerate_diagram,
     load_diagram,
@@ -32,6 +35,7 @@ from .diagram import (
 )
 from .kd import (
     SupportThresholdError,
+    TransitionKind,
     classify_state,
     dft_matrix,
     load_state,
@@ -84,6 +88,7 @@ def _cached_diagram(
             cached = None
         if cached is not None and cached.d == d and len(cached.points) == d * d:
             return cached
+    _resolve_engine(d, TransitionKind.DFT, search["engine"], allow_large)
     diag = enumerate_diagram(dft_matrix(d), allow_large=allow_large, **search)
     if path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -95,11 +100,15 @@ def _cached_diagram(
 
 @contextmanager
 def _exit_codes():
-    """Map engine disagreements to exit 1 and invalid inputs to exit 2."""
+    """Map engine disagreements and failed witness sampling to exit 1 and
+    invalid inputs to exit 2."""
     try:
         yield
     except EngineDisagreementError as exc:
         click.echo(f"engine disagreement: {exc}", err=True)
+        sys.exit(EXIT_MISMATCH)
+    except WitnessSamplingError as exc:
+        click.echo(f"witness sampling failed: {exc}", err=True)
         sys.exit(EXIT_MISMATCH)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -270,15 +279,16 @@ def cmd_verify(theorem, dim, samples, pairs, seed, cache_dir, **search) -> None:
 def cmd_witness(dim, n_a, n_b, out, seed, eps_support, eps_classical, **search) -> None:
     """Emit a state realizing a Present diagram point."""
     with _exit_codes():
+        _resolve_engine(dim, TransitionKind.DFT, search["engine"], allow_large=False)
         u = dft_matrix(dim)
         point = point_exists(u, n_a, n_b, **search)
-    if point.status is PointStatus.UNKNOWN:
-        click.echo(f"point ({n_a}, {n_b}) unresolved: {point.note}", err=True)
-        sys.exit(EXIT_ABORTED)
-    if point.status is PointStatus.HOLE:
-        click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
-        sys.exit(EXIT_MISMATCH)
-    psi = witness_state(u, point, seed=seed, eps_support=eps_support)
+        if point.status is PointStatus.UNKNOWN:
+            click.echo(f"point ({n_a}, {n_b}) unresolved: {point.note}", err=True)
+            sys.exit(EXIT_ABORTED)
+        if point.status is PointStatus.HOLE:
+            click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
+            sys.exit(EXIT_MISMATCH)
+        psi = witness_state(u, point, seed=seed, eps_support=eps_support)
     if out is not None:
         save_state(out, psi)
     profile = support_profile(psi, u, eps=eps_support)

@@ -259,22 +259,27 @@ class _RankOracle:
         return r
 
 
-def _resolve_engine(u: TransitionMatrix, engine: str, allow_large: bool) -> str:
+def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:
+    """The engine a search on a d x d matrix of this kind runs on.
+
+    Raises ValueError past the size limits.  It takes no matrix, so a caller
+    can refuse a dimension before building the d x d matrix.
+    """
     if engine == "auto":
-        if u.kind is TransitionKind.DFT and u.d <= EXACT_DIMENSION_LIMIT:
+        if kind is TransitionKind.DFT and d <= EXACT_DIMENSION_LIMIT:
             engine = ENGINE_EXACT
         else:
             engine = ENGINE_NUMERIC
     if engine not in (ENGINE_EXACT, ENGINE_NUMERIC, ENGINE_BOTH):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine != ENGINE_NUMERIC and u.kind is not TransitionKind.DFT:
+    if engine != ENGINE_NUMERIC and kind is not TransitionKind.DFT:
         raise ValueError("exact engine requires the DFT transition matrix")
     if not allow_large:
-        if engine != ENGINE_NUMERIC and u.d > EXACT_DIMENSION_LIMIT:
+        if engine != ENGINE_NUMERIC and d > EXACT_DIMENSION_LIMIT:
             raise ValueError(
                 f"exact engine is limited to d <= {EXACT_DIMENSION_LIMIT} by default"
             )
-        if u.d > NUMERIC_DIMENSION_LIMIT:
+        if d > NUMERIC_DIMENSION_LIMIT:
             raise ValueError(
                 f"enumeration is limited to d <= {NUMERIC_DIMENSION_LIMIT} by default"
             )
@@ -339,7 +344,7 @@ def check_submatrix_conditions(
         raise ValueError("row index out of range")
     if not cols or cols[0] < 0 or cols[-1] >= d:
         raise ValueError("column selection must be a nonempty subset of the index range")
-    exact = _resolve_engine(u, engine, allow_large=True) != ENGINE_NUMERIC
+    exact = _resolve_engine(d, u.kind, engine, allow_large=True) != ENGINE_NUMERIC
 
     certs: list[RankCertificate] = []
 
@@ -442,7 +447,7 @@ def point_exists(
     ``sym_reduce`` is ignored, as the DFT search always scans the quotient.
     It stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``."""
-    eng = _resolve_engine(u, engine, allow_large)
+    eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     oracle = _RankOracle(u, eng, rank_tol)
     return _find_point(u, oracle, n_a, n_b, max_checks, rank_tol)
 
@@ -461,7 +466,7 @@ def enumerate_diagram(
     One rank cache serves the whole run.  ``sym_reduce`` is ignored, as in
     ``point_exists``.
     """
-    eng = _resolve_engine(u, engine, allow_large)
+    eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     oracle = _RankOracle(u, eng, rank_tol)
     start = time.perf_counter()
     points: dict[tuple[int, int], DiagramPoint] = {}
@@ -493,11 +498,7 @@ def is_completely_incompatible(
     diag = diagram if diagram is not None else enumerate_diagram(u, engine=engine, rank_tol=rank_tol)
     if diag.unknown_set():
         raise IndeterminateDiagramError("diagram holds unresolved points")
-    d = diag.d
-    half_plane = frozenset(
-        (a, b) for a in range(1, d + 1) for b in range(1, d + 1) if a + b >= d + 1
-    )
-    return diag.present_set() == half_plane
+    return diag.present_set() == predict_corollary1(diag.d).points
 
 
 def witness_state(

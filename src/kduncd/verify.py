@@ -118,6 +118,7 @@ def verify_theorem4(
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:
+        diag = diagrams(d)  # first: it refuses a too-large d before the matrix is built
         u = dft_matrix(d)
         bad: list[str] = []
         for k in range(coset_samples):
@@ -133,7 +134,6 @@ def verify_theorem4(
             verdict = classify_state(psi, u, eps=eps_classical).verdict
             if profile.n_a * profile.n_b != d or verdict is not Verdict.CLASSICAL:
                 bad.append(f"coset {spec} profile ({profile.n_a},{profile.n_b}) {verdict.value}")
-        diag = diagrams(d)
         eligible = sorted(p for p in diag.present_set() if p[0] * p[1] > d)
         done = 0
         while eligible and done < witness_samples:

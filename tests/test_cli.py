@@ -138,6 +138,41 @@ def test_usage_errors_exit_two_without_traceback(runner, args):
     assert "Error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["diagram", "--d", "13"], ["witness", "--d", "13", "2", "2"], ["verify", "T4", "--d", "13"]],
+    ids=["diagram", "witness", "verify-T4"],
+)
+def test_size_limit_is_checked_before_the_matrix_is_built(runner, monkeypatch, args):
+    def refuse(d):
+        raise AssertionError(f"built the {d} x {d} matrix of a refused dimension")
+
+    monkeypatch.setattr("kduncd.cli.dft_matrix", refuse)
+    monkeypatch.setattr("kduncd.verify.dft_matrix", refuse)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "limited to d <= 12" in result.output
+
+
+def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatch):
+    result = runner.invoke(
+        main, ["witness", "--d", "6", "3", "4", "--eps-support", "0.9", "--seed", "1"]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("witness sampling failed:")
+
+    def fail(*args, **kwargs):
+        raise diagram_mod.WitnessSamplingError("forced")
+
+    monkeypatch.setattr("kduncd.verify.witness_state", fail)
+    result = runner.invoke(main, ["verify", "T4", "--d", "4"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "witness sampling failed: forced\n"
+
+
 _SEARCH = {"--engine", "--rank-tol", "--max-checks"}
 
 

@@ -19,7 +19,6 @@ from kduncd import (
     predict_classicality_dft,
     random_mub_pair,
     random_state_in_subspace,
-    root_power,
     save_state,
     state_from_amplitudes,
     support_profile,
@@ -27,6 +26,8 @@ from kduncd import (
     theorem5_sufficient,
     transition_from_unitary,
 )
+
+from cyclotomic_reference import root_power
 
 
 def _kd_table_oracle(amps, d):

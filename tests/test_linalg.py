@@ -4,9 +4,11 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from kduncd import CycNum, dft_matrix, divisors, nullspace_basis, rank, root_power
+from kduncd import dft_matrix, divisors, nullspace_basis, rank
 from kduncd.diagram import _dft_block
 from kduncd.linalg import ENGINE_EXACT, _modulus, svd_rank
+
+from cyclotomic_reference import CycNum, root_power
 
 
 def _exact(d, rows, cols):
