@@ -131,7 +131,6 @@ _engine = click.option(
     show_default=True,
     help="Rank engine; auto picks exact for d <= 9, numeric above.",
 )
-_rank_tol = _tolerance("--rank-tol")
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
 _max_checks = _count("--max-checks", help="Per-point candidate budget.")
 _eps_support = _tolerance("--eps-support")
@@ -148,7 +147,7 @@ _cache = click.option(
 
 def _search_options(fn):
     """The point-search options, named as the keywords of ``enumerate_diagram``."""
-    return _engine(_rank_tol(_max_checks(fn)))
+    return _engine(_max_checks(fn))
 
 
 @click.group()
@@ -258,7 +257,6 @@ def cmd_verify(theorem, dim, samples, pairs, seed, cache_dir, **search) -> None:
             samples=samples,
             pairs=pairs,
             seed=0 if seed is None else seed,
-            rank_tol=search["rank_tol"],
         )
     for row in rows:
         mark = "PASS" if row.passed else ("INFO" if row.passed is None else "FAIL")

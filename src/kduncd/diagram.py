@@ -48,7 +48,6 @@ import numpy as np
 from .cyclotomic import divisors, is_prime
 from .kd import StateVector, TransitionKind, TransitionMatrix, support_profile
 from .linalg import (
-    DEFAULT_RANK_TOL,
     ENGINE_EXACT,
     ENGINE_NUMERIC,
     RankCertificate,
@@ -89,6 +88,9 @@ ENGINE_BOTH = "both"
 
 EXACT_DIMENSION_LIMIT = 9
 NUMERIC_DIMENSION_LIMIT = 12
+
+# Fresh nullspace samples witness_state draws before it gives up.
+_WITNESS_TRIES = 64
 
 
 class PointStatus(str, Enum):
@@ -198,11 +200,10 @@ class _RankOracle:
     the matrix is symmetric, so all members of an orbit share one rank.
     """
 
-    def __init__(self, u: TransitionMatrix, engine: str, tol: float) -> None:
+    def __init__(self, u: TransitionMatrix, engine: str) -> None:
         self.u = u
         self.d = u.d
         self.engine = engine
-        self.tol = tol
         self.requests = 0
         self.computed = 0
         self._ranks: dict = {}
@@ -238,7 +239,7 @@ class _RankOracle:
         if not rows or not cols:
             return 0
         sub = self._numeric[np.ix_(rows, cols)]
-        return _numeric_rank(sub, self.tol)
+        return _numeric_rank(sub)
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         self.requests += 1
@@ -327,13 +328,13 @@ def check_submatrix_conditions(
     cols,
     *,
     engine: str = "auto",
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> tuple[bool, PointCertificate]:
     """Audited evaluation of the three rank conditions for one candidate.
 
     Returns the verdict together with every rank certificate it computed; on
     failure the audit stops at the first violated condition.  ``rows`` may be
-    empty, which encodes the full-A-support case.
+    empty, which encodes the full-A-support case.  Engine ``both`` audits on
+    the exact engine.
     """
     d = u.d
     rows = tuple(sorted(int(r) for r in rows))
@@ -352,7 +353,7 @@ def check_submatrix_conditions(
         if exact:
             certs.append(rank(_dft_block(d, r, c), order=d))
         else:
-            certs.append(rank(u.numeric[np.ix_(r, c)], tol=rank_tol))
+            certs.append(rank(u.numeric[np.ix_(r, c)]))
         return certs[-1].rank
 
     ok = _conditions_hold(rank_of, d, rows, cols)
@@ -387,7 +388,6 @@ def _find_point(
     n_a: int,
     n_b: int,
     max_checks: int | None,
-    rank_tol: float,
 ) -> DiagramPoint:
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
@@ -412,10 +412,7 @@ def _find_point(
                     note=f"aborted after {max_checks} candidates",
                 )
             if _conditions_hold(rank_of, d, rows, cols):
-                audit_engine = ENGINE_EXACT if oracle.engine == ENGINE_BOTH else oracle.engine
-                ok, cert = check_submatrix_conditions(
-                    u, rows, cols, engine=audit_engine, rank_tol=rank_tol
-                )
+                ok, cert = check_submatrix_conditions(u, rows, cols, engine=oracle.engine)
                 if not ok:
                     raise RuntimeError(
                         "search and audit paths disagree on a certifying candidate"
@@ -437,7 +434,6 @@ def point_exists(
     n_b: int,
     *,
     engine: str = "auto",
-    rank_tol: float = DEFAULT_RANK_TOL,
     sym_reduce: bool = False,
     max_checks: int | None = None,
     allow_large: bool = False,
@@ -448,15 +444,13 @@ def point_exists(
     It stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``."""
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
-    oracle = _RankOracle(u, eng, rank_tol)
-    return _find_point(u, oracle, n_a, n_b, max_checks, rank_tol)
+    return _find_point(u, _RankOracle(u, eng), n_a, n_b, max_checks)
 
 
 def enumerate_diagram(
     u: TransitionMatrix,
     *,
     engine: str = "auto",
-    rank_tol: float = DEFAULT_RANK_TOL,
     sym_reduce: bool = False,
     max_checks: int | None = None,
     allow_large: bool = False,
@@ -467,12 +461,12 @@ def enumerate_diagram(
     ``point_exists``.
     """
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
-    oracle = _RankOracle(u, eng, rank_tol)
+    oracle = _RankOracle(u, eng)
     start = time.perf_counter()
     points: dict[tuple[int, int], DiagramPoint] = {}
     for n_a in range(1, u.d + 1):
         for n_b in range(1, u.d + 1):
-            points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b, max_checks, rank_tol)
+            points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b, max_checks)
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,
@@ -492,10 +486,9 @@ def is_completely_incompatible(
     *,
     diagram: UncertaintyDiagram | None = None,
     engine: str = "auto",
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> bool:
     """True iff the diagram is exactly the half-plane n_a + n_b >= d + 1."""
-    diag = diagram if diagram is not None else enumerate_diagram(u, engine=engine, rank_tol=rank_tol)
+    diag = diagram if diagram is not None else enumerate_diagram(u, engine=engine)
     if diag.unknown_set():
         raise IndeterminateDiagramError("diagram holds unresolved points")
     return diag.present_set() == predict_corollary1(diag.d).points
@@ -507,7 +500,6 @@ def witness_state(
     seed: int | np.random.Generator | None = None,
     *,
     eps_support: float = 1e-10,
-    max_tries: int = 64,
 ) -> StateVector:
     """Random state realizing a certified Present point's exact profile.
 
@@ -521,7 +513,7 @@ def witness_state(
     rows = set(point.certificate.rows)
     support = [i for i in range(u.d) if i not in rows]
     rng = _as_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_WITNESS_TRIES):
         try:
             psi = random_state_in_subspace(u, support, point.certificate.cols, seed=rng)
         except ValueError as exc:
@@ -530,7 +522,7 @@ def witness_state(
         if profile.n_a == point.n_a and profile.n_b == point.n_b:
             return psi
     raise WitnessSamplingError(
-        f"no sample hit profile ({point.n_a}, {point.n_b}) in {max_tries} tries"
+        f"no sample hit profile ({point.n_a}, {point.n_b}) in {_WITNESS_TRIES} tries"
     )
 
 

@@ -143,7 +143,7 @@ class StateVector:
     norm: float = 1.0
 
 
-def state_from_amplitudes(amps, *, normalize: bool = True) -> StateVector:
+def state_from_amplitudes(amps) -> StateVector:
     a = np.array(amps, dtype=complex).reshape(-1)
     if not np.isfinite(a).all():
         raise ValueError("state amplitudes must be finite")
@@ -156,8 +156,7 @@ def state_from_amplitudes(amps, *, normalize: bool = True) -> StateVector:
         nrm = float(np.linalg.norm(a / scale))
     if nrm == 0.0:
         raise ValueError("state vector must be nonzero")
-    if normalize:
-        a = a / scale / nrm
+    a = a / scale / nrm
     a.setflags(write=False)
     return StateVector(d=a.size, amps_a=a, norm=scale * nrm)
 

@@ -144,20 +144,22 @@ def _exact_rank_int(
 # numeric engine internals
 
 
-def svd_rank(s: np.ndarray, n: int, tol: float):
-    """Count the singular values above ``tol * s_max * n`` along the last axis.
+def svd_rank(s: np.ndarray, n: int):
+    """Count the singular values above ``DEFAULT_RANK_TOL * s_max * n`` along
+    the last axis.
 
-    ``s`` holds one matrix's singular values in descending order, or a stack
-    of them; ``n`` is the larger matrix dimension.
+    This is the package's one numeric rank threshold.  ``s`` holds one
+    matrix's singular values in descending order, or a stack of them; ``n``
+    is the larger matrix dimension.
     """
     top = s[0] if s.ndim == 1 else s[..., 0, None]
-    return (s > tol * top * n).sum(axis=-1)
+    return (s > DEFAULT_RANK_TOL * top * n).sum(axis=-1)
 
 
-def _numeric_rank(a: np.ndarray, tol: float) -> int:
+def _numeric_rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
-    return int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape), tol))
+    return int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape)))
 
 
 def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]:
@@ -190,7 +192,7 @@ def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]
     return tuple(pivots)
 
 
-def rank(a, tol: float = DEFAULT_RANK_TOL, *, order: int | None = None) -> RankCertificate:
+def rank(a, *, order: int | None = None) -> RankCertificate:
     """Rank with an audit certificate.
 
     Without ``order``, ``a`` is a complex array and the numeric engine counts
@@ -206,11 +208,11 @@ def rank(a, tol: float = DEFAULT_RANK_TOL, *, order: int | None = None) -> RankC
             bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in row))
         r, pivots = _exact_rank_int(a, order, bound_sq)
         return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
-    r = _numeric_rank(a, tol)
-    return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(a, r), tol)
+    r = _numeric_rank(a)
+    return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(a, r), DEFAULT_RANK_TOL)
 
 
-def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+def nullspace_basis(a: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the right nullspace of a complex array.
 
     A matrix with no rows constrains nothing, so the basis is the full
@@ -222,4 +224,4 @@ def nullspace_basis(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.nda
     if a.shape[0] == 0:
         return [np.eye(ncols, dtype=complex)[:, k] for k in range(ncols)]
     _, s, vh = np.linalg.svd(a)
-    return [vh[k].conj() for k in range(svd_rank(s, max(a.shape), tol), ncols)]
+    return [vh[k].conj() for k in range(svd_rank(s, max(a.shape)), ncols)]

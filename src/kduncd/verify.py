@@ -16,6 +16,7 @@ import numpy as np
 
 from .cyclotomic import divisors
 from .diagram import (
+    NUMERIC_DIMENSION_LIMIT,
     UncertaintyDiagram,
     predict_corollary1,
     predict_theorem1,
@@ -31,7 +32,7 @@ from .kd import (
     support_profile,
     theorem5_sufficient,
 )
-from .linalg import DEFAULT_RANK_TOL, svd_rank
+from .linalg import svd_rank
 from .states import CosetSpec, coset_classical_state, random_mub_pair, random_state_in_subspace
 
 __all__ = [
@@ -44,6 +45,9 @@ DiagramProvider = Callable[[int], UncertaintyDiagram]
 
 # Smallest dimension each rule is stated for; absent rules hold from d = 1.
 _MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2}
+
+# Coset states T4 checks per dimension, cycling through the divisors of d.
+_COSET_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -106,22 +110,20 @@ def verify_theorem4(
     dims: Sequence[int],
     diagrams: DiagramProvider,
     *,
-    coset_samples: int = 20,
     witness_samples: int = 1000,
-    eps_classical: float = 1e-10,
     seed: int | None = 0,
 ) -> list[VerifyRow]:
     """Hyperbola states classify classical; above-hyperbola witnesses classify
     nonclassical."""
-    if min(coset_samples, witness_samples) < 1:
-        raise ValueError("sample counts must be at least 1")  # else nothing is checked
+    if witness_samples < 1:
+        raise ValueError("witness sample count must be at least 1")  # else nothing is checked
     rng = np.random.default_rng(seed)
     rows = []
     for d in dims:
         diag = diagrams(d)  # first: it refuses a too-large d before the matrix is built
         u = dft_matrix(d)
         bad: list[str] = []
-        for k in range(coset_samples):
+        for k in range(_COSET_SAMPLES):
             p = divisors(d)[k % len(divisors(d))]
             spec = CosetSpec(
                 d=d,
@@ -131,7 +133,7 @@ def verify_theorem4(
             )
             psi = coset_classical_state(spec)
             profile = support_profile(psi, u)
-            verdict = classify_state(psi, u, eps=eps_classical).verdict
+            verdict = classify_state(psi, u).verdict
             if profile.n_a * profile.n_b != d or verdict is not Verdict.CLASSICAL:
                 bad.append(f"coset {spec} profile ({profile.n_a},{profile.n_b}) {verdict.value}")
         eligible = sorted(p for p in diag.present_set() if p[0] * p[1] > d)
@@ -139,13 +141,13 @@ def verify_theorem4(
         while eligible and done < witness_samples:
             point = diag.points[eligible[done % len(eligible)]]
             psi = witness_state(u, point, seed=rng)
-            verdict = classify_state(psi, u, eps=eps_classical).verdict
+            verdict = classify_state(psi, u).verdict
             predicted = predict_classicality_dft(support_profile(psi, u))
             if verdict is not Verdict.NONCLASSICAL or predicted is not Verdict.NONCLASSICAL:
                 bad.append(f"witness at {point.n_a, point.n_b} classified {verdict.value}")
             done += 1
         detail = (
-            f"{coset_samples} coset + {done} witness states agree"
+            f"{_COSET_SAMPLES} coset + {done} witness states agree"
             if not bad
             else "; ".join(bad[:3])
         )
@@ -200,7 +202,7 @@ def verify_theorem5(
     return rows
 
 
-def lemma3_check(d: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, int]:
+def lemma3_check(d: int) -> tuple[int, int]:
     """Exhaustive full-rank check on periodic-row submatrices.
 
     For every divisor m of d (m != d), row blocks i0, i0+m, ..., i0+(t-1)m
@@ -229,16 +231,16 @@ def lemma3_check(d: int, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, int]:
                 cols = np.array(sets_s, dtype=int)  # (K, s)
                 subs = w[row_block[:, None, :, None], cols[None, :, None, :]]
                 subs = subs.reshape(d * cols.shape[0], t, s)
-                ranks = svd_rank(np.linalg.svd(subs, compute_uv=False), max(t, s), rank_tol)
+                ranks = svd_rank(np.linalg.svd(subs, compute_uv=False), max(t, s))
                 checked += subs.shape[0]
                 violations += int(np.sum(ranks != min(t, s)))
     return checked, violations
 
 
-def verify_lemma3(dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL) -> list[VerifyRow]:
+def verify_lemma3(dims: Sequence[int]) -> list[VerifyRow]:
     rows = []
     for d in dims:
-        checked, violations = lemma3_check(d, rank_tol)
+        checked, violations = lemma3_check(d)
         rows.append(
             VerifyRow(
                 d=d,
@@ -258,15 +260,18 @@ def verify_suite(
     samples: int | None = None,
     pairs: int | None = None,
     seed: int | None = 0,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list[VerifyRow]:
     """Dispatch a named verification over a dimension range.
 
     A dimension below the rule's minimum gets an informational row instead
     of a check, so every requested dimension is reported.  A count left at
-    None takes the rule's default.
+    None takes the rule's default.  ``L3`` refuses the whole range if any
+    dimension exceeds the enumeration limit, as its submatrix count grows
+    combinatorially with d.
     """
     theorem = theorem.upper()
+    if theorem == "L3" and max(dims, default=0) > NUMERIC_DIMENSION_LIMIT:
+        raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
     low = _MIN_DIMENSION.get(theorem, 1)
     skipped = [
         VerifyRow(d=d, label=theorem, passed=None, detail=f"rule needs d >= {low}; not checked")
@@ -296,7 +301,7 @@ def verify_suite(
             seed=seed,
         )
     elif theorem == "L3":
-        rows = verify_lemma3(dims, rank_tol)
+        rows = verify_lemma3(dims)
     else:
         raise ValueError(f"unknown verification id {theorem!r}")
     return skipped + rows

@@ -89,9 +89,7 @@ def test_criterion_05_theorem4_property_suite(diagram_cache):
     rows = verify_theorem4(
         range(1, 13),
         diagram_cache,
-        coset_samples=20,
         witness_samples=1000,
-        eps_classical=1e-10,
         seed=20250,
     )
     for row in rows:

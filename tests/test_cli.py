@@ -154,6 +154,19 @@ def test_size_limit_is_checked_before_the_matrix_is_built(runner, monkeypatch, a
     assert "limited to d <= 12" in result.output
 
 
+@pytest.mark.parametrize("dims", ["13", "2..24"])
+def test_verify_l3_refuses_large_dimensions_before_checking_any(runner, monkeypatch, dims):
+    def refuse(d):
+        raise AssertionError(f"checked d={d} of a refused range")
+
+    monkeypatch.setattr("kduncd.verify.lemma3_check", refuse)
+    result = runner.invoke(main, ["verify", "L3", "--d", dims])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "L3 is limited to d <= 12" in result.output
+
+
 def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatch):
     result = runner.invoke(
         main, ["witness", "--d", "6", "3", "4", "--eps-support", "0.9", "--seed", "1"]
@@ -173,7 +186,7 @@ def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatc
     assert result.output == "witness sampling failed: forced\n"
 
 
-_SEARCH = {"--engine", "--rank-tol", "--max-checks"}
+_SEARCH = {"--engine", "--max-checks"}
 
 
 @pytest.mark.parametrize(
@@ -204,13 +217,28 @@ def test_options_a_command_does_not_read_are_rejected(runner, tmp_path):
         assert "No such option" in result.output
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["1e-10", "0", "-1", "nan", "inf"])
 @pytest.mark.parametrize(
     "args",
     [
         ["diagram", "--d", "4", "--engine", "numeric", "--rank-tol"],
         ["verify", "L3", "--d", "4", "--rank-tol"],
         ["witness", "--d", "6", "2", "3", "--rank-tol"],
+    ],
+    ids=lambda args: f"{args[0]}{args[-1]}",
+)
+def test_rank_tol_is_not_an_option(runner, args, value):
+    """The numeric rank threshold is fixed, so no value of it is accepted."""
+    result = runner.invoke(main, [*args, value])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "No such option '--rank-tol'" in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
         ["witness", "--d", "6", "2", "3", "--eps-support"],
         ["witness", "--d", "6", "2", "3", "--eps-classical"],
         ["classify", "STATE", "--eps-support"],
@@ -258,7 +286,7 @@ def test_verify_suite_defaults_only_missing_counts():
 
 
 @pytest.mark.parametrize(
-    "counts", [{"coset_samples": 0}, {"witness_samples": 0}, {"witness_samples": -1}]
+    "counts", [{"witness_samples": 0}, {"witness_samples": -1}]
 )
 def test_theorem4_rejects_counts_below_one(counts):
     from kduncd.verify import verify_theorem4

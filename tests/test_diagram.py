@@ -30,7 +30,6 @@ from kduncd import (
     witness_state,
 )
 from kduncd.diagram import _column_representatives, _conditions_hold, _RankOracle
-from kduncd.linalg import DEFAULT_RANK_TOL
 
 from sampling_oracle import sampled_present_set
 
@@ -170,7 +169,7 @@ def _full_scan(u, engine, points):
     """Status and first certifying (rows, cols) of each point, found by
     scanning every selection in lexicographic order, columns outer."""
     d = u.d
-    oracle = _RankOracle(u, engine, DEFAULT_RANK_TOL)
+    oracle = _RankOracle(u, engine)
     found = {}
     for n_a, n_b in points:
         found[(n_a, n_b)] = (PointStatus.HOLE, None)
@@ -284,6 +283,14 @@ def test_certificates_revalidate_with_both_engines(diagram_cache):
             )
             assert ok, f"certificate for ({a},{b}) failed under {engine}"
             assert again.base.rank == cert.base.rank
+
+
+def test_engine_both_certificates_are_exact(diagram_cache):
+    diag = diagram_cache(6, engine="both")
+    for (a, b) in sorted(diag.present_set()):
+        cert = diag.points[(a, b)].certificate
+        audited = [cert.base, *(c for _, c in cert.added), *(c for _, c in cert.removed)]
+        assert {c.engine for c in audited} == {"exact"}, f"({a},{b})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +16,17 @@ def test_star_import_finds_every_exported_name(module):
     exec(f"from {module} import *", namespace)
     exported = getattr(importlib.import_module(module), "__all__", [])
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_exported_callable_takes_a_rank_tolerance(module):
+    """The numeric rank threshold is the fixed ``DEFAULT_RANK_TOL``."""
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", []):
+        obj = getattr(mod, name)
+        if callable(obj):
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # exception classes have no introspectable signature
+                continue
+            assert not {"tol", "rank_tol"} & set(params), f"{module}.{name}"
