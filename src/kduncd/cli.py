@@ -3,7 +3,8 @@ verification suites, and emit witness states.
 
 Exit codes: 0 success, 1 verification mismatch, engine disagreement or
 failed witness sampling, 2 usage error, 3 resource abort (Unknown points
-without --allow-partial).
+from a budget-cut search: in `diagram` without --allow-partial, and in any
+`verify` rule that reads the diagram).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import click
 from . import __version__
 from .diagram import (
     EngineDisagreementError,
+    IndeterminateDiagramError,
     PointStatus,
     UncertaintyDiagram,
     WitnessSamplingError,
@@ -75,6 +77,7 @@ def _cached_diagram(
     A missing, unreadable, truncated or incomplete cache file is a miss: the
     diagram is recomputed and the file replaced.  Writes go through a
     temporary file and ``os.replace``, so a reader never sees half a file.
+    A diagram with Unknown points is not written.
     ``allow_large`` changes no diagram, so it stays out of the cache key.
     """
     path = None
@@ -90,7 +93,7 @@ def _cached_diagram(
             return cached
     _resolve_engine(d, TransitionKind.DFT, search["engine"], allow_large)
     diag = enumerate_diagram(dft_matrix(d), allow_large=allow_large, **search)
-    if path is not None:
+    if path is not None and not diag.unknown_set():
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         save_diagram(tmp, diag)
@@ -100,10 +103,13 @@ def _cached_diagram(
 
 @contextmanager
 def _exit_codes():
-    """Map engine disagreements and failed witness sampling to exit 1 and
-    invalid inputs to exit 2."""
+    """Map engine disagreements and failed witness sampling to exit 1,
+    invalid inputs to exit 2 and checks on budget-cut diagrams to exit 3."""
     try:
         yield
+    except IndeterminateDiagramError as exc:
+        click.echo(f"unresolved points: {exc}; raise --max-checks", err=True)
+        sys.exit(EXIT_ABORTED)
     except EngineDisagreementError as exc:
         click.echo(f"engine disagreement: {exc}", err=True)
         sys.exit(EXIT_MISMATCH)

@@ -28,6 +28,14 @@ least column set of each orbit under x -> ax + s, and row sets containing
 0.  The full scan's first certifying candidate is among them (a smaller
 member of its column orbit would certify first, and R - min R certifies
 too), and an exhausted quotient rules out every selection.
+
+Most candidates fail (i), so the search screens it once per column set:
+the rank oracle returns the base rank of every row set on that column set,
+and (ii) and (iii) run only on row sets with base rank below n_b, in the
+same lex order.  On the numeric engine the screen computes the uncached
+base ranks in one stacked SVD; the exact engines compute them one at a time
+as the scan reaches them.  A budget of k candidates screens only the first
+k, so it cuts the scan where a candidate-by-candidate loop would.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .linalg import (
     _exact_rank_int,
     _numeric_rank,
     rank,
+    svd_rank,
 )
 from .states import _as_rng, random_state_in_subspace
 
@@ -191,43 +200,54 @@ def _dft_block(d: int, rows, cols) -> list[list[tuple[tuple[int, int]]]]:
     return [[((i * j % d, 1),) for j in cols] for i in rows]
 
 
+def _mask(indices) -> int:
+    return sum(map((1).__lshift__, indices))
+
+
+@lru_cache(maxsize=None)
+def _least_rotations(d: int) -> tuple[int, ...]:
+    """Least cyclic rotation of every subset of Z_d, as bitmasks indexed by
+    the subset's bitmask."""
+    masks = np.arange(1 << d, dtype=np.int64)
+    full = (1 << d) - 1
+    least = masks
+    for k in range(1, d):
+        least = np.minimum(least, ((masks << k) | (masks >> (d - k))) & full)
+    return tuple(least.tolist())
+
+
 class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
-    For the DFT the cache key is canonical under independent cyclic shifts of
-    the row and column sets and under transposition: shifting rows by s
-    rescales the columns by unit roots, shifting columns rescales rows, and
-    the matrix is symmetric, so all members of an orbit share one rank.
+    The cache key packs the row and column bitmasks into one int.  For the
+    DFT each mask is first replaced by its least cyclic rotation and the pair
+    put in order: shifting rows by s rescales the columns by unit roots,
+    shifting columns rescales rows, and the matrix is symmetric, so all
+    members of an orbit share one rank.
+
+    ``base_ranks`` answers one column set against many row sets.  The
+    numeric engine computes every rank it lacks there in one stacked SVD, as
+    its ranks cost less than the per-candidate calls; the exact engine (and
+    ``both``) computes each rank only when the caller reaches it, since an
+    exact rank costs more than the scan that may stop before it.
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
-        self.u = u
         self.d = u.d
         self.engine = engine
         self.requests = 0
         self.computed = 0
-        self._ranks: dict = {}
-        self._necklaces: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._canonical = u.kind is TransitionKind.DFT
+        self._ranks: dict[int, int] = {}
+        self._least = _least_rotations(u.d) if u.kind is TransitionKind.DFT else None
         self._numeric = u.numeric
 
-    def _necklace(self, s: tuple[int, ...]) -> tuple[int, ...]:
-        v = self._necklaces.get(s)
-        if v is None:
-            if s:
-                d = self.d
-                v = min(tuple(sorted((x - e) % d for x in s)) for e in s)
-            else:
-                v = ()
-            self._necklaces[s] = v
-        return v
-
-    def _key(self, rows: tuple[int, ...], cols: tuple[int, ...]):
-        if not self._canonical:
-            return (rows, cols)
-        nr = self._necklace(rows)
-        nc = self._necklace(cols)
-        return (nr, nc) if (nr, nc) <= (nc, nr) else (nc, nr)
+    def _keys(self, row_masks, cmask: int) -> list[int]:
+        d = self.d
+        least = self._least
+        if least is None:
+            return [r << d | cmask for r in row_masks]
+        c = least[cmask]
+        return [r << d | c if r <= c else c << d | r for r in map(least.__getitem__, row_masks)]
 
     def _compute_exact(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         # A minor has at most k rows of k unimodular entries, so Hadamard's
@@ -241,9 +261,8 @@ class _RankOracle:
         sub = self._numeric[np.ix_(rows, cols)]
         return _numeric_rank(sub)
 
-    def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    def _rank(self, key: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         self.requests += 1
-        key = self._key(rows, cols)
         r = self._ranks.get(key)
         if r is None:
             self.computed += 1
@@ -258,6 +277,30 @@ class _RankOracle:
                     raise EngineDisagreementError(rows, cols, r, rn)
             self._ranks[key] = r
         return r
+
+    def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        return self._rank(self._keys((_mask(rows),), _mask(cols))[0], rows, cols)
+
+    def base_ranks(self, row_sets, row_masks, cols: tuple[int, ...]):
+        """Rank on ``cols`` of each row set, in order, one request each;
+        ``row_masks`` holds the row sets' bitmasks.  Lazy except on the
+        numeric engine."""
+        keys = self._keys(row_masks, _mask(cols))
+        if self.engine != ENGINE_NUMERIC:
+            return (self._rank(key, rows, cols) for key, rows in zip(keys, row_sets))
+        self.requests += len(keys)
+        ranks = self._ranks
+        first = dict(zip(reversed(keys), reversed(row_sets)))  # earliest member wins
+        todo = {key: rows for key, rows in first.items() if key not in ranks}
+        if todo:
+            self.computed += len(todo)
+            stack = self._numeric[np.array(list(todo.values()), dtype=np.intp)[:, :, None], cols]
+            if stack.size:
+                found = svd_rank(np.linalg.svd(stack, compute_uv=False), max(stack.shape[1:]))
+                ranks.update(zip(todo, found.tolist()))
+            else:  # no rows (n_a = d)
+                ranks.update(dict.fromkeys(todo, 0))
+        return [ranks[key] for key in keys]
 
 
 def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:
@@ -308,15 +351,23 @@ def _conditions_hold(
     inserted in sorted order, then for each dropped column, stopping at the
     first failure.
     """
-    n_b = len(cols)
     base = rank_of(rows, cols)
-    if base >= n_b:
-        return False
+    return base < len(cols) and _conditions_ii_iii(rank_of, d, rows, cols, base)
+
+
+def _conditions_ii_iii(
+    rank_of: Callable[[tuple[int, ...], tuple[int, ...]], int],
+    d: int,
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    base: int,
+) -> bool:
+    """Conditions (ii) and (iii) given the base rank, which (i) bounds."""
     rowset = set(rows)
     for k in range(d):
         if k not in rowset and rank_of(_insert_sorted(rows, k), cols) != base + 1:
             return False
-    for idx in range(n_b):
+    for idx in range(len(cols)):
         if rank_of(rows, cols[:idx] + cols[idx + 1 :]) != base:
             return False
     return True
@@ -399,19 +450,15 @@ def _find_point(
     else:
         row_sets = list(combinations(range(d), n_rows))
     col_sets = _column_representatives(d, n_b) if dft else combinations(range(d), n_b)
-    rank_of = oracle.rank_of
+    row_masks = [_mask(rows) for rows in row_sets]
     checks = 0
     for cols in col_sets:
-        for rows in row_sets:
-            checks += 1
-            if max_checks is not None and checks > max_checks:
-                return DiagramPoint(
-                    n_a=n_a,
-                    n_b=n_b,
-                    status=PointStatus.UNKNOWN,
-                    note=f"aborted after {max_checks} candidates",
-                )
-            if _conditions_hold(rank_of, d, rows, cols):
+        batch, masks = row_sets, row_masks
+        if max_checks is not None:
+            left = max(0, max_checks - checks)
+            batch, masks = row_sets[:left], row_masks[:left]
+        for rows, base in zip(batch, oracle.base_ranks(batch, masks, cols)):
+            if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
                 ok, cert = check_submatrix_conditions(u, rows, cols, engine=oracle.engine)
                 if not ok:
                     raise RuntimeError(
@@ -420,6 +467,14 @@ def _find_point(
                 return DiagramPoint(
                     n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert
                 )
+        if len(batch) < len(row_sets):
+            return DiagramPoint(
+                n_a=n_a,
+                n_b=n_b,
+                status=PointStatus.UNKNOWN,
+                note=f"aborted after {max_checks} candidates",
+            )
+        checks += len(batch)
     return DiagramPoint(
         n_a=n_a,
         n_b=n_b,

@@ -17,6 +17,7 @@ import numpy as np
 from .cyclotomic import divisors
 from .diagram import (
     NUMERIC_DIMENSION_LIMIT,
+    IndeterminateDiagramError,
     UncertaintyDiagram,
     predict_corollary1,
     predict_theorem1,
@@ -267,9 +268,18 @@ def verify_suite(
     of a check, so every requested dimension is reported.  A count left at
     None takes the rule's default.  ``L3`` refuses the whole range if any
     dimension exceeds the enumeration limit, as its submatrix count grows
-    combinatorially with d.
+    combinatorially with d.  A diagram holding Unknown points raises
+    ``IndeterminateDiagramError``: a budget-cut search decides no rule.
     """
     theorem = theorem.upper()
+
+    def definite(d: int) -> UncertaintyDiagram:
+        diag = diagrams(d)
+        unknown = diag.unknown_set()
+        if unknown:
+            raise IndeterminateDiagramError(f"d={d} diagram holds {len(unknown)} Unknown points")
+        return diag
+
     if theorem == "L3" and max(dims, default=0) > NUMERIC_DIMENSION_LIMIT:
         raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
     low = _MIN_DIMENSION.get(theorem, 1)
@@ -280,18 +290,18 @@ def verify_suite(
     ]
     dims = [d for d in dims if d >= low]
     if theorem == "T1":
-        rows = _verify_claims(dims, diagrams, "T1", predict_theorem1, "all claims present")
+        rows = _verify_claims(dims, definite, "T1", predict_theorem1, "all claims present")
     elif theorem == "C1":
         rows = _verify_claims(
-            dims, diagrams, "C1", predict_corollary1, "{n} half-plane points present"
+            dims, definite, "C1", predict_corollary1, "{n} half-plane points present"
         )
     elif theorem == "T2":
-        rows = verify_theorem2(dims, diagrams)
+        rows = verify_theorem2(dims, definite)
     elif theorem == "T3":
-        rows = verify_theorem3(dims, diagrams)
+        rows = verify_theorem3(dims, definite)
     elif theorem == "T4":
         rows = verify_theorem4(
-            dims, diagrams, witness_samples=1000 if samples is None else samples, seed=seed
+            dims, definite, witness_samples=1000 if samples is None else samples, seed=seed
         )
     elif theorem == "T5":
         rows = verify_theorem5(

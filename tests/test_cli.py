@@ -118,6 +118,34 @@ def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == [cached.name]
 
 
+
+@pytest.mark.parametrize("rule", ["T1", "C1", "T2"])
+def test_verify_refuses_a_budget_cut_diagram(runner, tmp_path, rule):
+    # d=6 with one candidate per point leaves Unknown points, which are
+    # neither Holes for T1/T2 nor Present for C1, so no rule can be decided
+    cache = tmp_path / "cache"
+    result = runner.invoke(
+        main, ["verify", rule, "--d", "6", "--max-checks", "1", "--cache", str(cache)]
+    )
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "PASS" not in result.output and "FAIL" not in result.output
+    assert result.output == (
+        "unresolved points: d=6 diagram holds 14 Unknown points; raise --max-checks\n"
+    )
+    assert not cache.exists()
+
+
+def test_partial_diagram_is_not_cached(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["diagram", "--d", "6", "--max-checks", "1", "--allow-partial", "--cache", str(cache)]
+    for _ in range(2):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "unknown=14" in result.output
+    assert not cache.exists()
+
 @pytest.mark.parametrize(
     "args",
     [

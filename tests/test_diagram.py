@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -29,7 +30,13 @@ from kduncd import (
     support_profile,
     witness_state,
 )
-from kduncd.diagram import _column_representatives, _conditions_hold, _RankOracle
+from kduncd.diagram import (
+    _column_representatives,
+    _conditions_hold,
+    _least_rotations,
+    _mask,
+    _RankOracle,
+)
 
 from sampling_oracle import sampled_present_set
 
@@ -228,6 +235,78 @@ def test_column_representatives_are_orbit_minima():
             }
             assert set(reps) == set(orbit_min.values())
 
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_least_rotations_match_brute_force(d):
+    table = _least_rotations(d)
+    assert len(table) == 1 << d
+    for mask in range(1 << d):
+        members = [x for x in range(d) if mask >> x & 1]
+        assert table[mask] == min(_mask((x + s) % d for x in members) for s in range(d))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_orbit_members_share_key_and_rank(d):
+    # every row shift, every column shift and the transpose of a selection
+    # get its cache key, and both engines give them all one rank
+    rng = random.Random(d)
+    u = dft_matrix(d)
+    oracle = _RankOracle(u, "both")
+
+    def shift(xs, s):
+        return tuple(sorted((x + s) % d for x in xs))
+
+    for _ in range(4):
+        rows = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
+        cols = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
+        members = [(shift(rows, s), cols) for s in range(d)]
+        members += [(rows, shift(cols, s)) for s in range(d)]
+        members.append((shift(cols, 1), shift(rows, 2)))
+        keys = {oracle._keys((_mask(r),), _mask(c))[0] for r, c in members}
+        assert len(keys) == 1
+        ranks = {
+            f(r, c) for r, c in members for f in (oracle._compute_exact, oracle._compute_numeric)
+        }
+        assert len(ranks) == 1, (rows, cols, ranks)
+
+
+def _scan_order(d, n_a, n_b):
+    """The DFT search's column and row sets for one point, in scan order."""
+    n_rows = d - n_a
+    row_sets = [(0,) + r for r in combinations(range(1, d), n_rows - 1)] if n_rows else [()]
+    return _column_representatives(d, n_b), row_sets
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_budget_boundaries(d, engine, diagram_cache):
+    # a Present point certified by candidate k needs a budget of exactly k,
+    # a Hole with N candidates a budget of exactly N
+    u = dft_matrix(d)
+    for (n_a, n_b), point in diagram_cache(d, engine=engine).points.items():
+        col_sets, row_sets = _scan_order(d, n_a, n_b)
+        if point.status is PointStatus.PRESENT:
+            cert = point.certificate
+            k = col_sets.index(cert.cols) * len(row_sets) + row_sets.index(cert.rows) + 1
+        else:
+            k = len(col_sets) * len(row_sets)
+        at = point_exists(u, n_a, n_b, engine=engine, max_checks=k)
+        assert (at.status, at.note) == (point.status, point.note), (n_a, n_b)
+        if point.status is PointStatus.PRESENT:
+            assert (at.certificate.rows, at.certificate.cols) == (cert.rows, cert.cols)
+        else:
+            assert point.note == f"exhausted {k} candidates"
+        below = point_exists(u, n_a, n_b, engine=engine, max_checks=k - 1)
+        assert below.status is PointStatus.UNKNOWN, (n_a, n_b)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_screened_numeric_search_finds_the_exact_certificates(d, diagram_cache):
+    numeric = diagram_cache(d, engine="numeric")
+    exact = diagram_cache(d, engine="exact", allow_large=True)
+    assert _outcomes(numeric) == _outcomes(exact)
+    assert len(exact.present_set()) > 50
 
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_exact_and_numeric_diagrams_agree(d, diagram_cache):
