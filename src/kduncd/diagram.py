@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .cyclotomic import divisors, is_prime
-from .kd import StateVector, TransitionKind, TransitionMatrix, support_profile
+from .kd import StateVector, TransitionKind, TransitionMatrix, _support_masks
 from .linalg import (
     ENGINE_EXACT,
     ENGINE_NUMERIC,
@@ -64,7 +64,7 @@ from .linalg import (
     rank,
     svd_rank,
 )
-from .states import _as_rng, random_state_in_subspace
+from .states import _as_rng, _subspace_sampler
 
 __all__ = [
     "DiagramPoint",
@@ -98,7 +98,7 @@ ENGINE_BOTH = "both"
 EXACT_DIMENSION_LIMIT = 9
 NUMERIC_DIMENSION_LIMIT = 12
 
-# Fresh nullspace samples witness_state draws before it gives up.
+# Rounds of fresh nullspace samples a witness block draws before it gives up.
 _WITNESS_TRIES = 64
 
 
@@ -556,26 +556,40 @@ def witness_state(
     *,
     eps_support: float = 1e-10,
 ) -> StateVector:
-    """Random state realizing a certified Present point's exact profile.
+    """Random state realizing a certified Present point's exact profile: the
+    one-row case of ``_witness_block``."""
+    amps = _witness_block(u, point, 1, _as_rng(seed), eps_support)[0]
+    amps.setflags(write=False)
+    return StateVector(d=u.d, amps_a=amps, norm=1.0)
+
+
+def _witness_block(
+    u: TransitionMatrix, point: DiagramPoint, count: int, rng: np.random.Generator, eps: float
+) -> np.ndarray:
+    """``count`` random states realizing a certified Present point's exact
+    profile, as rows of A amplitudes.
 
     Samples the nullspace of the certified submatrix, which holds the states
     with A-support avoiding the certificate rows and B-support inside its
-    columns; a generic sample attains both bounds.  Retries with fresh
-    randomness, since the attaining set is dense but not all of the subspace.
+    columns; a generic sample attains both bounds.  Rows that miss the
+    profile are redrawn, up to ``_WITNESS_TRIES`` rounds, since the attaining
+    set is dense but not all of the subspace.
     """
     if point.status is not PointStatus.PRESENT or point.certificate is None:
         raise ValueError("witness generation needs a Present point with a certificate")
-    rows = set(point.certificate.rows)
-    support = [i for i in range(u.d) if i not in rows]
-    rng = _as_rng(seed)
+    support = set(range(u.d)) - set(point.certificate.rows)
+    try:
+        draw = _subspace_sampler(u, support, point.certificate.cols)
+    except ValueError as exc:
+        raise WitnessSamplingError(f"certified subspace cannot be sampled: {exc}") from exc
+    amps = np.empty((count, u.d), dtype=complex)
+    todo = np.arange(count)
     for _ in range(_WITNESS_TRIES):
-        try:
-            psi = random_state_in_subspace(u, support, point.certificate.cols, seed=rng)
-        except ValueError as exc:
-            raise WitnessSamplingError(f"certified subspace cannot be sampled: {exc}") from exc
-        profile = support_profile(psi, u, eps=eps_support)
-        if profile.n_a == point.n_a and profile.n_b == point.n_b:
-            return psi
+        amps[todo] = draw(rng, todo.size)
+        n_a, n_b = _support_masks(amps[todo], u, eps).sum(axis=-1)
+        todo = todo[(n_a != point.n_a) | (n_b != point.n_b)]
+        if not todo.size:
+            return amps
     raise WitnessSamplingError(
         f"no sample hit profile ({point.n_a}, {point.n_b}) in {_WITNESS_TRIES} tries"
     )

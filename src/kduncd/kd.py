@@ -178,7 +178,38 @@ def _require_same_dim(psi: StateVector, u: TransitionMatrix) -> None:
 def b_amplitudes(psi: StateVector, u: TransitionMatrix) -> np.ndarray:
     """Amplitudes <b_j|psi> derived from the A representation."""
     _require_same_dim(psi, u)
-    return u.numeric.conj().T @ psi.amps_a
+    return _to_b(u, psi.amps_a)
+
+
+# Row-wise forms of the support threshold and the KD violation rule: a state
+# is one row of A amplitudes, a block is a stack of rows.
+
+
+def _to_b(u: TransitionMatrix, amps_a: np.ndarray) -> np.ndarray:
+    return (u.numeric.conj().T @ amps_a.T).T
+
+
+def _support_masks(amps_a: np.ndarray, u: TransitionMatrix, eps: float) -> np.ndarray:
+    """Each row's support masks in the A and B bases, stacked (see ``support_profile``)."""
+    mags = np.abs(np.stack([amps_a, _to_b(u, amps_a)]))
+    top = mags.max(axis=-1, keepdims=True)
+    if not top.all():
+        raise ValueError("zero vector has no support")
+    return mags > eps * top
+
+
+def _kd_table(amps_a: np.ndarray, u: TransitionMatrix) -> np.ndarray:
+    return amps_a[..., :, None] * _to_b(u, amps_a).conj()[..., None, :] * u.numeric.conj()
+
+
+def _violation(q: np.ndarray) -> np.ndarray:
+    """How far each KD cell is from real and nonnegative: max(|Im Q|, -Re Q)."""
+    return np.maximum(np.abs(q.imag), -q.real)
+
+
+def _nonclassical(amps_a: np.ndarray, u: TransitionMatrix) -> np.ndarray:
+    """Row-wise ``classify_state`` at its default eps: True where some cell violates."""
+    return _violation(_kd_table(amps_a, u)).max(axis=(-2, -1)) > DEFAULT_CLASSICALITY_EPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +233,7 @@ class KDDist:
 def kd_distribution(psi: StateVector, u: TransitionMatrix) -> KDDist:
     """Quasiprobability table Q[i, j] = <a_i|psi> <psi|b_j> <b_j|a_i>."""
     _require_same_dim(psi, u)
-    bamps = b_amplitudes(psi, u)
-    q = psi.amps_a[:, None] * bamps.conj()[None, :] * u.numeric.conj()
+    q = _kd_table(psi.amps_a, u)
     q.setflags(write=False)
     return KDDist(q=q)
 
@@ -220,13 +250,6 @@ class SupportProfile:
     epsilon: float
 
 
-def _support(mags: np.ndarray, eps: float) -> frozenset[int]:
-    top = float(mags.max())
-    if top == 0.0:
-        raise ValueError("zero vector has no support")
-    return frozenset(int(i) for i in np.nonzero(mags > eps * top)[0])
-
-
 def support_profile(
     psi: StateVector, u: TransitionMatrix, eps: float = DEFAULT_SUPPORT_EPS
 ) -> SupportProfile:
@@ -238,8 +261,9 @@ def support_profile(
     if eps < 0:
         raise ValueError("support threshold must be nonnegative")
     _require_same_dim(psi, u)
-    s_set = _support(np.abs(psi.amps_a), eps)
-    t_set = _support(np.abs(b_amplitudes(psi, u)), eps)
+    in_a, in_b = _support_masks(psi.amps_a, u, eps)
+    s_set = frozenset(np.flatnonzero(in_a).tolist())
+    t_set = frozenset(np.flatnonzero(in_b).tolist())
     return SupportProfile(
         d=psi.d, s_set=s_set, t_set=t_set, n_a=len(s_set), n_b=len(t_set), epsilon=eps
     )
@@ -266,7 +290,7 @@ def classify_state(
     maximizing max(|Im Q|, -Re Q), ties resolved in row-major order.
     """
     table = kd_distribution(psi, u).q
-    violation = np.maximum(np.abs(table.imag), -table.real)
+    violation = _violation(table)
     flat = int(np.argmax(violation))
     i, j = divmod(flat, table.shape[1])
     if violation[i, j] <= eps:

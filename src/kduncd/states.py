@@ -31,10 +31,6 @@ def _as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
 @dataclass(frozen=True)
 class CosetSpec:
     """Parameters of a classical coset state: A-support size p dividing d,
@@ -75,11 +71,21 @@ def random_state_in_subspace(
     seed: int | np.random.Generator | None = None,
 ) -> StateVector:
     """Random unit state in the subspace with A-support inside ``s_set`` and
-    B-support inside ``t_set``.
+    B-support inside ``t_set``: one draw of ``_subspace_sampler``."""
+    amps = _subspace_sampler(u, s_set, t_set)(_as_rng(seed), 1)[0]
+    amps.setflags(write=False)
+    return StateVector(d=u.d, amps_a=amps, norm=1.0)
+
+
+def _subspace_sampler(u: TransitionMatrix, s_set, t_set):
+    """``draw(rng, count)``: ``count`` random unit states, as rows of A
+    amplitudes, in the subspace with A-support inside ``s_set`` and B-support
+    inside ``t_set``.
 
     The subspace is the nullspace of the transition submatrix with rows
-    outside ``s_set`` and columns in ``t_set``; coefficients over that basis
-    are drawn complex Gaussian and normalized.
+    outside ``s_set`` and columns in ``t_set``; it is computed once, and each
+    row's coefficients over its basis are drawn complex Gaussian and
+    normalized.
     """
     d = u.d
     s = sorted(set(int(i) for i in s_set))
@@ -92,17 +98,23 @@ def random_state_in_subspace(
     basis = nullspace_basis(u.numeric[np.ix_(rows, t)])
     if not basis:
         raise ValueError("the constrained subspace is trivial")
-    rng = _as_rng(seed)
-    g = _complex_normal(rng, len(basis))
-    beta = np.zeros(len(t), dtype=complex)
-    for coeff, vec in zip(g, basis):
-        beta += coeff * vec
-    beta /= np.linalg.norm(beta)
-    amps_b = np.zeros(d, dtype=complex)
-    amps_b[t] = beta
-    amps_a = u.numeric @ amps_b
-    amps_a.setflags(write=False)
-    return StateVector(d=d, amps_a=amps_a, norm=1.0)
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        shape = (count, len(basis))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        beta = np.zeros((count, len(t)), dtype=complex)
+        for coeff, vec in zip(g.T, basis):
+            beta += coeff[:, None] * vec
+        # Each row takes the 1-D norm and the states are columns of the
+        # product, so one row rounds exactly as the per-state sampler that
+        # wrote existing witness files did.
+        for row in beta:
+            row /= np.linalg.norm(row)
+        amps_b = np.zeros((d, count), dtype=complex)
+        amps_b[t] = beta.T
+        return np.ascontiguousarray((u.numeric @ amps_b).T)
+
+    return draw
 
 
 def mub_from_parts(

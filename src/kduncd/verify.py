@@ -3,7 +3,8 @@ sampling-based classification checks.
 
 Each suite returns one row per dimension.  ``passed`` is True/False for a
 binding comparison and None for an informational one (a prediction applied
-outside its stated hypotheses is reported but does not gate).
+outside its stated hypotheses is reported but does not gate).  T4 samples
+and checks each certified point's witness states as one numpy block.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from .diagram import (
     predict_theorem1,
     predict_theorem2,
     predict_theorem3,
-    witness_state,
+    _witness_block,
 )
 from .kd import (
+    DEFAULT_SUPPORT_EPS,
+    StateVector,
     Verdict,
+    _nonclassical,
+    _support_masks,
     classify_state,
     dft_matrix,
     predict_classicality_dft,
@@ -49,6 +54,10 @@ _MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2}
 
 # Coset states T4 checks per dimension, cycling through the divisors of d.
 _COSET_SAMPLES = 20
+
+# Most witness states T4 draws and checks in one block, which bounds the
+# block's KD tables to a few MB.
+_WITNESS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,8 @@ def verify_theorem4(
     seed: int | None = 0,
 ) -> list[VerifyRow]:
     """Hyperbola states classify classical; above-hyperbola witnesses classify
-    nonclassical."""
+    nonclassical.  The j-th eligible point takes witness states j, j + L,
+    j + 2L, ... of ``witness_samples`` (L points), drawn in blocks."""
     if witness_samples < 1:
         raise ValueError("witness sample count must be at least 1")  # else nothing is checked
     rng = np.random.default_rng(seed)
@@ -139,14 +149,14 @@ def verify_theorem4(
                 bad.append(f"coset {spec} profile ({profile.n_a},{profile.n_b}) {verdict.value}")
         eligible = sorted(p for p in diag.present_set() if p[0] * p[1] > d)
         done = 0
-        while eligible and done < witness_samples:
-            point = diag.points[eligible[done % len(eligible)]]
-            psi = witness_state(u, point, seed=rng)
-            verdict = classify_state(psi, u).verdict
-            predicted = predict_classicality_dft(support_profile(psi, u))
-            if verdict is not Verdict.NONCLASSICAL or predicted is not Verdict.NONCLASSICAL:
-                bad.append(f"witness at {point.n_a, point.n_b} classified {verdict.value}")
-            done += 1
+        for j, key in enumerate(eligible):
+            left = len(range(j, witness_samples, len(eligible)))
+            while left:
+                size = min(left, _WITNESS_BLOCK)
+                amps = _witness_block(u, diag.points[key], size, rng, DEFAULT_SUPPORT_EPS)
+                bad += [f"witness at {key}: {fault}" for fault in _witness_faults(u, key, amps)]
+                left -= size
+                done += size
         detail = (
             f"{_COSET_SAMPLES} coset + {done} witness states agree"
             if not bad
@@ -154,6 +164,24 @@ def verify_theorem4(
         )
         rows.append(VerifyRow(d=d, label="T4", passed=not bad, detail=detail))
     return rows
+
+
+def _witness_faults(u, key: tuple[int, int], amps: np.ndarray) -> list[str]:
+    """What the rows of a witness block for the point ``key`` get wrong: each
+    must have exactly that profile, classify nonclassical, and be predicted
+    nonclassical."""
+    counts = _support_masks(amps, u, DEFAULT_SUPPORT_EPS).sum(axis=-1).T
+    hit = (counts == key).all(axis=1)
+    faults = {
+        f"missed the profile, e.g. {tuple(counts[np.argmin(hit)].tolist())}": ~hit,
+        "classified classical": ~_nonclassical(amps, u),
+    }
+    if hit.any():
+        # the prediction reads only (d, n_a, n_b), which every hitting row shares
+        first = StateVector(d=u.d, amps_a=amps[np.argmax(hit)])
+        predicted = predict_classicality_dft(support_profile(first, u))
+        faults[f"predicted {predicted.value}"] = hit & (predicted is not Verdict.NONCLASSICAL)
+    return [f"{np.sum(rows)} of {len(amps)} {what}" for what, rows in faults.items() if rows.any()]
 
 
 def verify_theorem5(
@@ -176,6 +204,7 @@ def verify_theorem5(
     rows = []
     for d in dims:
         bad: list[str] = []
+        skipped = 0
         for _ in range(pairs):
             u = random_mub_pair(d, seed=rng)
             for _ in range(samples):
@@ -188,17 +217,19 @@ def verify_theorem5(
                 else:
                     psi = random_state_in_subspace(u, small_set, big_set, seed=rng)
                 profile = support_profile(psi, u)
-                if profile.n_a <= 1 or profile.n_b <= 1:
-                    continue  # basis vector: criterion is silent
-                if not theorem5_sufficient(profile, u):
-                    continue  # sampled support collapsed below the threshold
+                # a basis vector, or a sampled support that collapsed below
+                # the threshold: the criterion is silent
+                if min(profile.n_a, profile.n_b) <= 1 or not theorem5_sufficient(profile, u):
+                    skipped += 1
+                    continue
                 if classify_state(psi, u).verdict is not Verdict.NONCLASSICAL:
                     bad.append(
                         f"profile ({profile.n_a},{profile.n_b}) classified classical"
                     )
             if bad:
                 break
-        detail = f"{pairs} pairs x {samples} states" if not bad else bad[0]
+        detail = f"{pairs} pairs x {samples} states" + (f", {skipped} skipped" if skipped else "")
+        detail = detail if not bad else bad[0]
         rows.append(VerifyRow(d=d, label="T5", passed=not bad, detail=detail))
     return rows
 

@@ -207,7 +207,7 @@ def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatc
     def fail(*args, **kwargs):
         raise diagram_mod.WitnessSamplingError("forced")
 
-    monkeypatch.setattr("kduncd.verify.witness_state", fail)
+    monkeypatch.setattr("kduncd.verify._witness_block", fail)
     result = runner.invoke(main, ["verify", "T4", "--d", "4"])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)

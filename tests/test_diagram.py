@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from kduncd import (
@@ -10,6 +11,7 @@ from kduncd import (
     IndeterminateDiagramError,
     PointCertificate,
     PointStatus,
+    StateVector,
     Verdict,
     WitnessSamplingError,
     check_submatrix_conditions,
@@ -31,11 +33,13 @@ from kduncd import (
     witness_state,
 )
 from kduncd.diagram import (
+    _WITNESS_TRIES,
     _column_representatives,
     _conditions_hold,
     _least_rotations,
     _mask,
     _RankOracle,
+    _witness_block,
 )
 
 from sampling_oracle import sampled_present_set
@@ -411,6 +415,47 @@ def test_witness_nonclassical_point_d6(diagram_cache):
     u = dft_matrix(6)
     psi = witness_state(u, diagram_cache(6).points[(4, 4)], seed=7)
     assert classify_state(psi, u).verdict is Verdict.NONCLASSICAL
+
+
+@pytest.mark.parametrize("seed", [0, 7, 99])
+def test_witness_state_is_the_one_row_block(diagram_cache, seed):
+    u = dft_matrix(8)
+    for key in sorted(diagram_cache(8).present_set()):
+        point = diagram_cache(8).points[key]
+        (row,) = _witness_block(u, point, 1, np.random.default_rng(seed), 1e-10)
+        assert row.tobytes() == witness_state(u, point, seed=seed).amps_a.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_block_row_has_the_point_profile(diagram_cache, d):
+    u = dft_matrix(d)
+    rng = np.random.default_rng(300 + d)
+    for key in sorted(diagram_cache(d).present_set()):
+        amps = _witness_block(u, diagram_cache(d).points[key], 24, rng, 1e-10)
+        for row in amps:
+            profile = support_profile(StateVector(d=d, amps_a=row), u)
+            assert (profile.n_a, profile.n_b) == key
+
+
+def test_witness_block_redraws_only_the_rows_that_miss(diagram_cache, monkeypatch):
+    import kduncd.diagram as diagram_mod
+
+    real, sizes = diagram_mod._support_masks, []
+
+    def miss_first_row_once(amps, u, eps):
+        masks = real(amps, u, eps)
+        sizes.append(len(amps))
+        if len(sizes) == 1:
+            masks[:, 0] = True  # row 0 reads full support in both bases
+        return masks
+
+    monkeypatch.setattr(diagram_mod, "_support_masks", miss_first_row_once)
+    point, rng = diagram_cache(6).points[(4, 4)], np.random.default_rng(0)
+    _witness_block(dft_matrix(6), point, 10, rng, 1e-10)
+    assert sizes == [10, 1]
+    monkeypatch.setattr(diagram_mod, "_support_masks", lambda amps, u, eps: real(amps, u, 1.0))
+    with pytest.raises(WitnessSamplingError, match=f"in {_WITNESS_TRIES} tries"):
+        _witness_block(dft_matrix(6), point, 3, rng, 1e-10)
 
 
 def test_witness_trivial_nullspace_raises():

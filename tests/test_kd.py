@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kduncd import (
+    CosetSpec,
+    StateVector,
     SupportProfile,
     SupportThresholdError,
     TransitionKind,
@@ -13,6 +15,7 @@ from kduncd import (
     b_amplitudes,
     basis_state,
     classify_state,
+    coset_classical_state,
     dft_matrix,
     kd_distribution,
     load_state,
@@ -28,6 +31,7 @@ from kduncd import (
 )
 
 from cyclotomic_reference import root_power
+from kduncd.kd import DEFAULT_SUPPORT_EPS, _nonclassical, _support_masks
 
 
 def _kd_table_oracle(amps, d):
@@ -364,3 +368,28 @@ def test_transition_kind_validation():
         transition_from_unitary(np.eye(2), kind=TransitionKind.GENERAL_MUB)
     with pytest.raises(ValueError):
         transition_from_unitary(np.ones((2, 2)))  # not unitary
+
+
+@pytest.mark.parametrize("kind", ["dft", "mub"])
+def test_row_wise_rules_match_the_per_state_functions(kind):
+    d, rng = 6, np.random.default_rng(12)
+    u = dft_matrix(d) if kind == "dft" else random_mub_pair(d, seed=rng)
+    rows = [basis_state(d, 2).amps_a]
+    for p in (1, 2, 3, 6):
+        rows.append(coset_classical_state(CosetSpec(d=d, p=p, a_shift=1, b_shift=p)).amps_a)
+    for n_a in range(2, d + 1):
+        s = rng.choice(d, size=n_a, replace=False)
+        rows.append(random_state_in_subspace(u, s, range(d), seed=rng).amps_a)
+    block = np.array(rows)
+    masks = _support_masks(block, u, DEFAULT_SUPPORT_EPS)
+    nonclassical = _nonclassical(block, u)
+    verdicts = set()
+    for k, amps in enumerate(rows):
+        psi = StateVector(d=d, amps_a=amps)
+        profile = support_profile(psi, u)
+        assert frozenset(np.flatnonzero(masks[0, k]).tolist()) == profile.s_set
+        assert frozenset(np.flatnonzero(masks[1, k]).tolist()) == profile.t_set
+        verdict = classify_state(psi, u).verdict
+        assert nonclassical[k] == (verdict is Verdict.NONCLASSICAL)
+        verdicts.add(verdict)
+    assert len(verdicts) == 2  # the block mixes both verdicts

@@ -12,10 +12,12 @@ from kduncd import (
     dft_matrix,
     divisors,
     mub_from_parts,
+    nullspace_basis,
     random_mub_pair,
     random_state_in_subspace,
     support_profile,
 )
+from kduncd.states import _subspace_sampler
 
 
 def test_coset_spec_rejects_non_divisor():
@@ -89,6 +91,47 @@ def test_random_state_respects_supports_and_constraints():
         constraint = u.numeric[np.ix_([1, 3], t)]
         assert np.linalg.norm(constraint @ beta) < 1e-9
         assert abs(np.linalg.norm(psi.amps_a) - 1.0) < 1e-12
+
+
+def _reference_state(u, s_set, t_set, rng):
+    """One subspace state by the per-state loop that witness files were
+    written with: nullspace, Gaussian coefficients, sum, normalize."""
+    s, t = sorted(set(s_set)), sorted(set(t_set))
+    basis = nullspace_basis(u.numeric[np.ix_([i for i in range(u.d) if i not in s], t)])
+    g = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    beta = np.zeros(len(t), dtype=complex)
+    for coeff, vec in zip(g, basis):
+        beta += coeff * vec
+    beta /= np.linalg.norm(beta)
+    amps_b = np.zeros(u.d, dtype=complex)
+    amps_b[t] = beta
+    return u.numeric @ amps_b
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_one_row_draw_matches_the_per_state_loop_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    mine, ref = np.random.default_rng(d), np.random.default_rng(d)
+    for k in range(40):
+        u = dft_matrix(d) if k % 2 else random_mub_pair(d, seed=rng)
+        big = int(rng.integers(d // 2 + 1, d + 1))
+        small = int(rng.integers(max(1, d + 1 - big), d + 1))
+        s = rng.choice(d, size=big, replace=False).tolist()
+        t = rng.choice(d, size=small, replace=False).tolist()
+        psi = random_state_in_subspace(u, s, t, seed=mine)
+        assert psi.amps_a.tobytes() == _reference_state(u, s, t, ref).tobytes()
+    assert mine.random() == ref.random()  # both consumed the same draws
+
+
+def test_block_draw_rows_lie_in_the_subspace():
+    d, s, t = 6, [0, 1, 3, 4], [0, 2, 3, 5]
+    u = dft_matrix(d)
+    amps = _subspace_sampler(u, s, t)(np.random.default_rng(1), 50)
+    assert amps.shape == (50, d)
+    assert np.allclose(np.linalg.norm(amps, axis=1), 1.0, atol=1e-12)
+    assert np.abs(amps[:, [2, 5]]).max() < 1e-12
+    amps_b = amps @ u.numeric.conj()
+    assert np.abs(amps_b[:, [1, 4]]).max() < 1e-12
 
 
 def test_random_state_rejects_trivial_subspace():
