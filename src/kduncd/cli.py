@@ -22,6 +22,8 @@ import click
 
 from . import __version__
 from .diagram import (
+    EXACT_DIMENSION_LIMIT,
+    NUMERIC_DIMENSION_LIMIT,
     EngineDisagreementError,
     IndeterminateDiagramError,
     PointStatus,
@@ -104,7 +106,8 @@ def _cached_diagram(
 @contextmanager
 def _exit_codes():
     """Map engine disagreements and failed witness sampling to exit 1,
-    invalid inputs to exit 2 and checks on budget-cut diagrams to exit 3."""
+    invalid inputs and unwritable output or cache paths to exit 2 and checks
+    on budget-cut diagrams to exit 3."""
     try:
         yield
     except IndeterminateDiagramError as exc:
@@ -116,6 +119,9 @@ def _exit_codes():
     except WitnessSamplingError as exc:
         click.echo(f"witness sampling failed: {exc}", err=True)
         sys.exit(EXIT_MISMATCH)
+    except OSError as exc:
+        click.echo(f"cannot write {exc.filename}: {exc.strerror}", err=True)
+        sys.exit(EXIT_USAGE)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -135,7 +141,7 @@ _engine = click.option(
     type=click.Choice(["auto", "exact", "numeric", "both"]),
     default="auto",
     show_default=True,
-    help="Rank engine; auto picks exact for d <= 9, numeric above.",
+    help=f"Rank engine; auto picks exact for d <= {EXACT_DIMENSION_LIMIT}, numeric above.",
 )
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
 _max_checks = _count("--max-checks", help="Per-point candidate budget.")
@@ -169,7 +175,12 @@ def main() -> None:
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @_search_options
 @click.option("--allow-partial", is_flag=True, default=False)
-@click.option("--allow-large", is_flag=True, help="Lift the limits d <= 9 (exact), d <= 12 (all).")
+@click.option(
+    "--allow-large",
+    is_flag=True,
+    help=f"Lift the limits d <= {EXACT_DIMENSION_LIMIT} (exact), "
+    f"d <= {NUMERIC_DIMENSION_LIMIT} (all).",
+)
 @_cache
 def cmd_diagram(
     dim, out, csv_path, svg_path, allow_partial, allow_large, cache_dir, **search
@@ -181,12 +192,12 @@ def cmd_diagram(
     d = dims[0]
     with _exit_codes():
         diag = _cached_diagram(d, cache_dir, allow_large, **search)
-    if out is not None:
-        save_diagram(out, diag)
-    if csv_path is not None:
-        Path(csv_path).write_text(diagram_to_csv(diag), encoding="utf-8")
-    if svg_path is not None:
-        Path(svg_path).write_text(diagram_svg(diag), encoding="utf-8")
+        if out is not None:
+            save_diagram(out, diag)
+        if csv_path is not None:
+            Path(csv_path).write_text(diagram_to_csv(diag), encoding="utf-8")
+        if svg_path is not None:
+            Path(svg_path).write_text(diagram_svg(diag), encoding="utf-8")
     n_present = len(diag.present_set())
     n_hole = len(diag.hole_set())
     n_unknown = len(diag.unknown_set())
@@ -293,8 +304,8 @@ def cmd_witness(dim, n_a, n_b, out, seed, eps_support, eps_classical, **search) 
             click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
             sys.exit(EXIT_MISMATCH)
         psi = witness_state(u, point, seed=seed, eps_support=eps_support)
-    if out is not None:
-        save_state(out, psi)
+        if out is not None:
+            save_state(out, psi)
     profile = support_profile(psi, u, eps=eps_support)
     result = classify_state(psi, u, eps=eps_classical)
     report = {

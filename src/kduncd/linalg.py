@@ -14,7 +14,9 @@ Primes are therefore taken in a fixed order until one reaches full rank,
 which no prime can overshoot, or their product exceeds B^phi(d).  The rank
 is the largest seen; the pivots, the first nonzero row of each column, are
 those of the prime that reached it.  The numeric engine counts singular
-values against a spectral-norm-relative threshold.
+values against a spectral-norm-relative threshold; its certificate carries
+that rank and threshold only, while an exact one carries the pivots of a
+nonzero minor.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ DEFAULT_RANK_TOL = 1e-10
 class RankCertificate:
     """Rank value plus the audit data that produced it.
 
-    ``pivots`` lists one (row, col) position per rank step in the original
-    indexing.  ``tolerance`` is the relative singular-value threshold for the
-    numeric engine and exactly 0 for the exact engine.
+    An exact certificate lists in ``pivots`` one (row, col) position per rank
+    step, in the original indexing: the rows and columns of a nonzero minor.
+    A numeric certificate has no pivots; it carries the rank and, in
+    ``tolerance``, the relative singular-value threshold it was counted
+    against.  ``tolerance`` is exactly 0 for the exact engine.
     """
 
     rank: int
@@ -58,8 +62,9 @@ class RankCertificate:
     tolerance: float
 
     def __post_init__(self) -> None:
-        if len(self.pivots) != self.rank:
-            raise ValueError("pivot list length must equal the rank")
+        want = self.rank if self.engine == ENGINE_EXACT else 0
+        if len(self.pivots) != want:
+            raise ValueError("exact certificates have one pivot per rank step, numeric ones none")
 
 
 # ---------------------------------------------------------------------------
@@ -162,36 +167,6 @@ def _numeric_rank(a: np.ndarray) -> int:
     return int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape)))
 
 
-def _numeric_pivots(a: np.ndarray, rank_val: int) -> tuple[tuple[int, int], ...]:
-    """Full-pivot elimination audit trail: ``rank_val`` structurally
-    independent positions, scanned deterministically (first strict maximum)."""
-    if rank_val == 0:
-        return ()
-    work = np.array(a, dtype=complex)
-    nrows, ncols = work.shape
-    row_free = [True] * nrows
-    col_free = [True] * ncols
-    pivots: list[tuple[int, int]] = []
-    for _ in range(rank_val):
-        best = -1.0
-        bi = bj = -1
-        for i in range(nrows):
-            if not row_free[i]:
-                continue
-            for j in range(ncols):
-                if col_free[j] and abs(work[i, j]) > best:
-                    best = abs(work[i, j])
-                    bi, bj = i, j
-        pivots.append((bi, bj))
-        row_free[bi] = False
-        col_free[bj] = False
-        pe = work[bi, bj]
-        for i in range(nrows):
-            if row_free[i] and work[i, bj] != 0:
-                work[i, :] -= (work[i, bj] / pe) * work[bi, :]
-    return tuple(pivots)
-
-
 def rank(a, *, order: int | None = None) -> RankCertificate:
     """Rank with an audit certificate.
 
@@ -208,8 +183,7 @@ def rank(a, *, order: int | None = None) -> RankCertificate:
             bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in row))
         r, pivots = _exact_rank_int(a, order, bound_sq)
         return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
-    r = _numeric_rank(a)
-    return RankCertificate(r, ENGINE_NUMERIC, _numeric_pivots(a, r), DEFAULT_RANK_TOL)
+    return RankCertificate(_numeric_rank(a), ENGINE_NUMERIC, (), DEFAULT_RANK_TOL)
 
 
 def nullspace_basis(a: np.ndarray) -> list[np.ndarray]:

@@ -50,7 +50,7 @@ __all__ = [
 DiagramProvider = Callable[[int], UncertaintyDiagram]
 
 # Smallest dimension each rule is stated for; absent rules hold from d = 1.
-_MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2}
+_MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2, "L3": 2}
 
 # Coset states T4 checks per dimension, cycling through the divisors of d.
 _COSET_SAMPLES = 20

@@ -119,6 +119,27 @@ def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
 
 
 
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["diagram", "--d", "3", "--out"], "missing/x.json"),
+        (["diagram", "--d", "3", "--csv"], "missing/x.csv"),
+        (["diagram", "--d", "3", "--svg"], "missing/x.svg"),
+        (["witness", "--d", "3", "2", "2", "--out"], "missing/x.json"),
+        (["diagram", "--d", "3", "--cache"], "file/sub"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(runner, tmp_path, args, target):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    result = runner.invoke(main, [*args, path])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"cannot write {path}: ")
+
+
 @pytest.mark.parametrize("rule", ["T1", "C1", "T2"])
 def test_verify_refuses_a_budget_cut_diagram(runner, tmp_path, rule):
     # d=6 with one candidate per point leaves Unknown points, which are
@@ -438,6 +459,13 @@ def test_verify_reports_dimensions_below_rule_minimum(runner):
         "T2  d=1   INFO  rule needs d >= 2; not checked",
         "T2  d=2   PASS  row 2 present at n_a in [1, 2]",
         "T2  d=3   PASS  row 2 present at n_a in [2, 3]",
+    ]
+    result = runner.invoke(main, ["verify", "L3", "--d", "1..3"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        "L3  d=1   INFO  rule needs d >= 2; not checked",
+        "L3  d=2   PASS  12 progression submatrices, 0 rank defects",
+        "L3  d=3   PASS  63 progression submatrices, 0 rank defects",
     ]
 
 

@@ -376,6 +376,15 @@ def test_engine_both_certificates_are_exact(diagram_cache):
         assert {c.engine for c in audited} == {"exact"}, f"({a},{b})"
 
 
+def test_numeric_diagram_certificates_have_no_pivots(diagram_cache):
+    diag = diagram_cache(6, engine="numeric")
+    assert diag.present_set()
+    for (a, b) in sorted(diag.present_set()):
+        cert = diag.points[(a, b)].certificate
+        audited = [cert.base, *(c for _, c in cert.added), *(c for _, c in cert.removed)]
+        assert all(c.engine == "numeric" and c.pivots == () for c in audited), f"({a},{b})"
+
+
 # ---------------------------------------------------------------------------
 # complete incompatibility
 

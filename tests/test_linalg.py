@@ -6,7 +6,14 @@ import pytest
 
 from kduncd import dft_matrix, divisors, nullspace_basis, rank
 from kduncd.diagram import _dft_block
-from kduncd.linalg import ENGINE_EXACT, _modulus, svd_rank
+from kduncd.linalg import (
+    DEFAULT_RANK_TOL,
+    ENGINE_EXACT,
+    ENGINE_NUMERIC,
+    RankCertificate,
+    _modulus,
+    svd_rank,
+)
 
 from cyclotomic_reference import CycNum, root_power
 
@@ -78,11 +85,26 @@ def test_rank_empty_shapes():
 
 
 def test_rank_certificate_pivot_count_matches_rank():
-    for engine in (_exact, _numeric):
-        cert = engine(6, [0, 1, 2, 3], [0, 2, 4])
-        assert len(cert.pivots) == cert.rank
-        for (i, j) in cert.pivots:
-            assert 0 <= i < 4 and 0 <= j < 3
+    cert = _exact(6, [0, 1, 2, 3], [0, 2, 4])
+    assert len(cert.pivots) == cert.rank
+    for (i, j) in cert.pivots:
+        assert 0 <= i < 4 and 0 <= j < 3
+
+
+def test_numeric_certificate_carries_rank_and_threshold_only():
+    cert = _numeric(6, [0, 1, 2, 3], [0, 2, 4])
+    assert cert.rank == 3 and cert.engine == ENGINE_NUMERIC
+    assert cert.pivots == ()
+    assert cert.tolerance == DEFAULT_RANK_TOL
+
+
+def test_rank_certificate_rejects_mismatched_pivots():
+    with pytest.raises(ValueError):
+        RankCertificate(1, ENGINE_NUMERIC, ((0, 0),), DEFAULT_RANK_TOL)
+    with pytest.raises(ValueError):
+        RankCertificate(2, ENGINE_EXACT, ((0, 0),), 0.0)
+    with pytest.raises(ValueError):
+        RankCertificate(0, ENGINE_EXACT, ((0, 0),), 0.0)
 
 
 def test_zero_matrix_rank_zero():
