@@ -46,7 +46,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the first twelve prime bases.
 
     Exact for every n below 3.18 * 10^23, the least strong pseudoprime to
-    all twelve bases, which covers the 62-bit moduli of the exact engine.
+    all twelve bases, which covers the 31-bit moduli of the exact engine.
     """
     if n < 2:
         return False

@@ -32,10 +32,9 @@ too), and an exhausted quotient rules out every selection.
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
-same lex order.  On the numeric engine the screen computes the uncached
-base ranks in one stacked SVD; the exact engines compute them one at a time
-as the scan reaches them.  A budget of k candidates screens only the first
-k, so it cuts the scan where a candidate-by-candidate loop would.
+same lex order.  The screen computes the uncached base ranks as one stack
+on every engine.  A budget of k candidates screens only the first k, so it
+cuts the scan where a candidate-by-candidate loop would.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
 
@@ -56,11 +55,12 @@ import numpy as np
 from .cyclotomic import divisors, is_prime
 from .kd import StateVector, TransitionKind, TransitionMatrix, _support_masks
 from .linalg import (
+    DEFAULT_RANK_TOL,
     ENGINE_EXACT,
     ENGINE_NUMERIC,
     RankCertificate,
     _exact_rank_int,
-    _numeric_rank,
+    _pivot_pairs,
     rank,
     svd_rank,
 )
@@ -225,11 +225,9 @@ class _RankOracle:
     shifting columns rescales rows, and the matrix is symmetric, so all
     members of an orbit share one rank.
 
-    ``base_ranks`` answers one column set against many row sets.  The
-    numeric engine computes every rank it lacks there in one stacked SVD, as
-    its ranks cost less than the per-candidate calls; the exact engine (and
-    ``both``) computes each rank only when the caller reaches it, since an
-    exact rank costs more than the scan that may stop before it.
+    ``base_ranks`` answers one column set against many row sets and computes
+    the ranks it lacks as one stack, on every engine; ``rank_of`` answers
+    the single blocks of conditions (ii) and (iii) through ``rank``.
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -249,58 +247,76 @@ class _RankOracle:
         c = least[cmask]
         return [r << d | c if r <= c else c << d | r for r in map(least.__getitem__, row_masks)]
 
-    def _compute_exact(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        # A minor has at most k rows of k unimodular entries, so Hadamard's
-        # bound caps it at k^(k/2) in every embedding.
-        k = min(len(rows), len(cols))
-        return _exact_rank_int(_dft_block(self.d, rows, cols), self.d, k**k)[0]
+    def _compute(self, row_sets, cols: tuple[int, ...]) -> list[int]:
+        """Rank on ``cols`` of each row set.  Engine ``both`` computes both
+        and raises on the first block, in order, where they differ."""
+        if self.engine == ENGINE_NUMERIC:
+            return self._numeric_ranks(row_sets, cols)
+        ranks = self._exact_ranks(row_sets, cols)
+        if self.engine == ENGINE_BOTH:
+            for rows, r, rn in zip(row_sets, ranks, self._numeric_ranks(row_sets, cols)):
+                if r != rn:
+                    raise EngineDisagreementError(rows, cols, r, rn)
+        return ranks
 
-    def _compute_numeric(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        if not rows or not cols:
-            return 0
-        sub = self._numeric[np.ix_(rows, cols)]
-        return _numeric_rank(sub)
+    def _exact_ranks(self, row_sets, cols: tuple[int, ...]) -> list[int]:
+        if len(row_sets) == 1:
+            return [rank(_dft_block(self.d, row_sets[0], cols), order=self.d).rank]
+        return _exact_block_ranks(self.d, [(rows, cols) for rows in row_sets])[0]
 
-    def _rank(self, key: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    def _numeric_ranks(self, row_sets, cols: tuple[int, ...]) -> list[int]:
+        return _numeric_block_ranks(self._numeric, row_sets, cols)
+
+    def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        key = self._keys((_mask(rows),), _mask(cols))[0]
         self.requests += 1
         r = self._ranks.get(key)
         if r is None:
             self.computed += 1
-            if self.engine == ENGINE_EXACT:
-                r = self._compute_exact(rows, cols)
-            elif self.engine == ENGINE_NUMERIC:
-                r = self._compute_numeric(rows, cols)
-            else:
-                r = self._compute_exact(rows, cols)
-                rn = self._compute_numeric(rows, cols)
-                if rn != r:
-                    raise EngineDisagreementError(rows, cols, r, rn)
-            self._ranks[key] = r
+            r = self._ranks[key] = self._compute((rows,), cols)[0]
         return r
 
-    def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        return self._rank(self._keys((_mask(rows),), _mask(cols))[0], rows, cols)
-
-    def base_ranks(self, row_sets, row_masks, cols: tuple[int, ...]):
+    def base_ranks(self, row_sets, row_masks, cols: tuple[int, ...]) -> list[int]:
         """Rank on ``cols`` of each row set, in order, one request each;
-        ``row_masks`` holds the row sets' bitmasks.  Lazy except on the
-        numeric engine."""
+        ``row_masks`` holds the row sets' bitmasks.  The ranks not cached
+        yet are computed as one stack."""
         keys = self._keys(row_masks, _mask(cols))
-        if self.engine != ENGINE_NUMERIC:
-            return (self._rank(key, rows, cols) for key, rows in zip(keys, row_sets))
         self.requests += len(keys)
         ranks = self._ranks
-        first = dict(zip(reversed(keys), reversed(row_sets)))  # earliest member wins
-        todo = {key: rows for key, rows in first.items() if key not in ranks}
+        todo: dict[int, tuple[int, ...]] = {}
+        for key, rows in zip(keys, row_sets):
+            if key not in ranks:
+                todo.setdefault(key, rows)
         if todo:
             self.computed += len(todo)
-            stack = self._numeric[np.array(list(todo.values()), dtype=np.intp)[:, :, None], cols]
-            if stack.size:
-                found = svd_rank(np.linalg.svd(stack, compute_uv=False), max(stack.shape[1:]))
-                ranks.update(zip(todo, found.tolist()))
-            else:  # no rows (n_a = d)
-                ranks.update(dict.fromkeys(todo, 0))
+            ranks.update(zip(todo, self._compute(list(todo.values()), cols)))
         return [ranks[key] for key in keys]
+
+
+def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
+    """Certified ranks of DFT blocks (rows, cols) as one padded stack, with
+    each block's pivot row per column."""
+    nrows = max(len(rows) for rows, _ in blocks)
+    ncols = max(len(cols) for _, cols in blocks)
+    rows = np.array([r + (-1,) * (nrows - len(r)) for r, _ in blocks], dtype=np.intp)
+    cols = np.array([c + (-1,) * (ncols - len(c)) for _, c in blocks], dtype=np.intp)
+    live = (rows >= 0)[:, :, None, None] & (cols >= 0)[:, None, :, None]
+    # A minor has at most k rows of k unimodular entries, so Hadamard's
+    # bound caps it at k^(k/2) in every embedding.
+    k = min(nrows, ncols)
+    exps = (rows[:, :, None] * cols[:, None, :] % d)[..., None]
+    ranks, pivots = _exact_rank_int(exps, live, d, k**k)
+    return ranks.tolist(), pivots
+
+
+def _numeric_block_ranks(numeric: np.ndarray, row_sets, cols) -> list[int]:
+    """Numeric ranks of blocks of one shape, rows in ``row_sets``, as one SVD
+    stack; ``cols`` is one index set or one per block."""
+    rows = np.array(row_sets, dtype=np.intp)
+    stack = numeric[rows[:, :, None], np.array(cols, dtype=np.intp)[..., None, :]]
+    if not stack.size:
+        return [0] * len(rows)
+    return svd_rank(np.linalg.svd(stack, compute_uv=False), max(stack.shape[1:])).tolist()
 
 
 def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:
@@ -382,10 +398,12 @@ def check_submatrix_conditions(
 ) -> tuple[bool, PointCertificate]:
     """Audited evaluation of the three rank conditions for one candidate.
 
-    Returns the verdict together with every rank certificate it computed; on
-    failure the audit stops at the first violated condition.  ``rows`` may be
-    empty, which encodes the full-A-support case.  Engine ``both`` audits on
-    the exact engine.
+    Ranks every block the audit may read at once: one padded stack on the
+    exact engine, one SVD stack per block shape on the numeric one.  Returns
+    the verdict together with the certificates read in the order of
+    ``_conditions_hold``, so on failure they stop at the first violated
+    condition.  ``rows`` may be empty, which encodes the full-A-support
+    case.  Engine ``both`` audits on the exact engine.
     """
     d = u.d
     rows = tuple(sorted(int(r) for r in rows))
@@ -397,18 +415,27 @@ def check_submatrix_conditions(
     if not cols or cols[0] < 0 or cols[-1] >= d:
         raise ValueError("column selection must be a nonempty subset of the index range")
     exact = _resolve_engine(d, u.kind, engine, allow_large=True) != ENGINE_NUMERIC
-
+    outside = [k for k in range(d) if k not in rows]
+    blocks = [(rows, cols)]
+    blocks += [(_insert_sorted(rows, k), cols) for k in outside]
+    blocks += [(rows, cols[:i] + cols[i + 1 :]) for i in range(len(cols))]
+    if exact:
+        ranks, pivots = _exact_block_ranks(d, blocks)
+        pairs = map(_pivot_pairs, pivots)
+        found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
+    else:  # one SVD stack per block shape, each with its own threshold
+        ranks = []
+        for _, group in groupby(blocks, key=lambda b: (len(b[0]), len(b[1]))):
+            ranks += _numeric_block_ranks(u.numeric, *zip(*group))
+        found = [RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in ranks]
+    table = dict(zip(blocks, found))
     certs: list[RankCertificate] = []
 
     def rank_of(r, c) -> int:
-        if exact:
-            certs.append(rank(_dft_block(d, r, c), order=d))
-        else:
-            certs.append(rank(u.numeric[np.ix_(r, c)]))
+        certs.append(table[r, c])
         return certs[-1].rank
 
     ok = _conditions_hold(rank_of, d, rows, cols)
-    outside = [k for k in range(d) if k not in rows]
     added = tuple(zip(outside, certs[1:]))
     removed = tuple(zip(cols, certs[1 + len(outside) :]))
     return ok, PointCertificate(rows=rows, cols=cols, base=certs[0], added=added, removed=removed)

@@ -12,18 +12,23 @@ the phi(d) complex embeddings gives |N(D)| <= B^phi(d), with B the product
 of the row norms (k^(k/2) for a DFT block with k = min(rows, cols)).
 Primes are therefore taken in a fixed order until one reaches full rank,
 which no prime can overshoot, or their product exceeds B^phi(d).  The rank
-is the largest seen; the pivots, the first nonzero row of each column, are
-those of the prime that reached it.  The numeric engine counts singular
-values against a spectral-norm-relative threshold; its certificate carries
-that rank and threshold only, while an exact one carries the pivots of a
-nonzero minor.
+is the largest seen; the pivots are those of the prime that reached it.
+
+One numpy kernel eliminates a whole stack of blocks.  The primes lie below
+2^31, so a product of two residues fits in int64.  A column's pivot is the
+first row not used yet that is nonzero there, and every row r becomes
+r * pivot - r[col] * top mod p, which needs no modular inverse.  A prime
+after the first runs only on the blocks still short of full rank, and
+``rank(a, order=d)`` is the one-block case.  The numeric engine counts
+singular values against a spectral-norm-relative threshold; its
+certificate carries that rank and threshold only, while an exact one
+carries the pivots of a nonzero minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -70,12 +75,12 @@ class RankCertificate:
 # ---------------------------------------------------------------------------
 # exact engine: certified multi-modular rank
 
-_MODULUS_CEILING = 1 << 62
+_MODULUS_CEILING = 1 << 31
 
 
 @lru_cache(maxsize=None)
-def _modulus(d: int, index: int) -> tuple[int, tuple[int, ...]]:
-    """The index-th prime p = 1 (mod d) below 2^62, counting down, with the
+def _modulus(d: int, index: int) -> tuple[int, np.ndarray]:
+    """The index-th prime p = 1 (mod d) below 2^31, counting down, with the
     powers w^0, ..., w^(d-1) of a primitive d-th root of unity w modulo p."""
     if index:
         p = _modulus(d, index - 1)[0] - d
@@ -90,59 +95,68 @@ def _modulus(d: int, index: int) -> tuple[int, tuple[int, ...]]:
         if all(pow(w, d // q, p) != 1 for q in factors):
             break
         g += 1
-    return p, tuple(pow(w, e, p) for e in range(d))
+    powers = np.array([pow(w, e, p) for e in range(d)], dtype=np.int64)
+    powers.setflags(write=False)  # cached: every caller shares it
+    return p, powers
+
+
+def _pivot_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """Pivot row of each column of a stack of matrices mod p, -1 where a
+    column has none.  The update zeroes the pivot row itself, so no later
+    column picks it again; a column with no pivot scales the rows by 1."""
+    n, _, ncols = a.shape
+    every = np.arange(n)
+    rows = np.empty((n, ncols), dtype=np.intp)
+    heads = np.empty((n, ncols), dtype=np.int64)
+    for col in range(ncols):
+        f = a[:, :, col, None]
+        rows[:, col] = at = (f[:, :, 0] != 0).argmax(axis=1)
+        top = a[every, None, at, col:]
+        heads[:, col] = pivot = top[:, 0, 0]
+        scale = (pivot + (pivot == 0))[:, None, None]
+        a[:, :, col + 1 :] = (a[:, :, col + 1 :] * scale - f * top[:, :, 1:]) % p
+    return np.where(heads != 0, rows, -1)
 
 
 def _exact_rank_int(
-    entries: Sequence[Sequence[Sequence[tuple[int, int]]]], d: int, bound_sq: int
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Rank over Q(w), w = exp(2*pi*i/d), of a matrix with entries in Z[w].
+    exps: np.ndarray, coefs: np.ndarray, d: int, bound_sq: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks over Q(w), w = exp(2*pi*i/d), of a stack of matrices over Z[w],
+    with the pivot row of each column (-1 for none).
 
-    ``entries[i][j]`` lists the (exponent, integer coefficient) terms of one
-    entry.  ``bound_sq`` is the square of a bound on the modulus of every
-    minor under every complex embedding.  Elimination runs modulo primes
-    p = 1 (mod d), pivoting on the first nonzero row of each column, until a
-    prime reaches full rank or the product of the primes exceeds
-    sqrt(bound_sq)^phi(d); the pivots are those of the prime with the
-    largest rank.
+    Entry (i, j) of block b is the sum over t of
+    ``coefs[b, i, j, t] * w ** exps[b, i, j, t]``; smaller blocks are padded
+    with zero coefficients.  ``bound_sq`` is the square of a bound on the
+    modulus of every minor under every complex embedding.  Full rank is
+    min(rows, cols) over the rows and columns with a nonzero coefficient.
+    The primes stop once their product exceeds sqrt(bound_sq)^phi(d).
     """
-    nrows = len(entries)
-    ncols = len(entries[0]) if nrows else 0
-    full = min(nrows, ncols)
-    if full == 0:
-        return 0, ()
     limit = bound_sq ** cyclotomic_polynomial(d).degree
-    best: tuple[int, tuple[tuple[int, int], ...]] = (-1, ())
-    product = 1
-    index = 0
-    while True:
+    nonzero = (coefs != 0).any(axis=-1)
+    full = np.minimum(nonzero.any(axis=2).sum(axis=1), nonzero.any(axis=1).sum(axis=1))
+    ranks = np.zeros_like(full)
+    pivots = np.full((len(full), nonzero.shape[2]), -1)
+    todo = np.flatnonzero(full)
+    product, index = 1, 0
+    while todo.size:
         p, powers = _modulus(d, index)
         index += 1
-        work = [[sum(c * powers[e] for e, c in entry) % p for entry in row] for row in entries]
-        orig = list(range(nrows))
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for col in range(ncols):
-            at = next((i for i in range(r, nrows) if work[i][col]), -1)
-            if at < 0:
-                continue
-            work[r], work[at] = work[at], work[r]
-            orig[r], orig[at] = orig[at], orig[r]
-            pivots.append((orig[r], col))
-            inv = pow(work[r][col], -1, p)
-            top = [v * inv % p for v in work[r][col + 1 :]]
-            for row in work[r + 1 :]:
-                f = row[col]
-                if f:
-                    row[col + 1 :] = [(v - f * t) % p for v, t in zip(row[col + 1 :], top)]
-            r += 1
-            if r == full:
-                break
-        if r > best[0]:
-            best = (r, tuple(pivots))
+        residues = (coefs[todo] % p * powers[exps[todo]] % p).sum(axis=-1) % p
+        found = _pivot_rows(np.asarray(residues, dtype=np.int64), p)
+        got = (found >= 0).sum(axis=1)
+        better = got > ranks[todo]
+        ranks[todo[better]] = got[better]
+        pivots[todo[better]] = found[better]
         product *= p
-        if r == full or product * product > limit:
-            return best
+        if product * product > limit:
+            break
+        todo = todo[got < full[todo]]
+    return ranks, pivots
+
+
+def _pivot_pairs(pivots: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(row, col) positions of one block's pivot rows, column by column."""
+    return tuple((int(i), j) for j, i in enumerate(pivots.tolist()) if i >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +175,6 @@ def svd_rank(s: np.ndarray, n: int):
     return (s > DEFAULT_RANK_TOL * top * n).sum(axis=-1)
 
 
-def _numeric_rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape)))
-
-
 def rank(a, *, order: int | None = None) -> RankCertificate:
     """Rank with an audit certificate.
 
@@ -181,9 +189,13 @@ def rank(a, *, order: int | None = None) -> RankCertificate:
         bound_sq = 1
         for row in a:
             bound_sq *= max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in row))
-        r, pivots = _exact_rank_int(a, order, bound_sq)
-        return RankCertificate(r, ENGINE_EXACT, pivots, 0.0)
-    return RankCertificate(_numeric_rank(a), ENGINE_NUMERIC, (), DEFAULT_RANK_TOL)
+        width = max([1, *(len(t) for row in a for t in row)])
+        terms = np.array([[[*t, *[(0, 0)] * (width - len(t))] for t in row] for row in a])
+        terms = terms.reshape(1, len(a), len(a[0]) if a else 0, width, 2)
+        r, pivots = _exact_rank_int(terms[..., 0].astype(np.intp), terms[..., 1], order, bound_sq)
+        return RankCertificate(int(r[0]), ENGINE_EXACT, _pivot_pairs(pivots[0]), 0.0)
+    r = int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape))) if a.size else 0
+    return RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL)
 
 
 def nullspace_basis(a: np.ndarray) -> list[np.ndarray]:

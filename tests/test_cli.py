@@ -493,7 +493,7 @@ def test_verify_exits_nonzero_on_mismatch(runner, monkeypatch):
 
 def test_engine_both_exits_nonzero_on_disagreement(runner, monkeypatch):
     monkeypatch.setattr(
-        diagram_mod._RankOracle, "_compute_numeric", lambda self, rows, cols: 0
+        diagram_mod._RankOracle, "_numeric_ranks", lambda self, row_sets, cols: [0] * len(row_sets)
     )
     result = runner.invoke(main, ["diagram", "--d", "4", "--engine", "both"])
     assert result.exit_code == 1

@@ -28,6 +28,7 @@ from kduncd import (
     predict_theorem2,
     predict_theorem3,
     random_mub_pair,
+    rank,
     save_diagram,
     support_profile,
     witness_state,
@@ -36,6 +37,7 @@ from kduncd.diagram import (
     _WITNESS_TRIES,
     _column_representatives,
     _conditions_hold,
+    _dft_block,
     _least_rotations,
     _mask,
     _RankOracle,
@@ -100,6 +102,62 @@ def test_conditions_engines_agree():
         ok, cert = check_submatrix_conditions(dft_matrix(6), [0, 3], [0, 2, 4], engine=engine)
         assert ok
         assert cert.base.rank == 1
+
+
+def _sequential_audit(u, rows, cols, engine):
+    """The audit with one rank() call per block, in the order the
+    conditions read them, as (verdict, base, added, removed) ranks."""
+    d = u.d
+    seen = []
+
+    def rank_of(r, c):
+        if engine == "exact":
+            seen.append(rank(_dft_block(d, r, c), order=d).rank)
+        else:
+            seen.append(rank(u.numeric[np.ix_(r, c)]).rank)
+        return seen[-1]
+
+    ok = _conditions_hold(rank_of, d, tuple(rows), tuple(cols))
+    n_out = d - len(rows)
+    return ok, seen[0], seen[1 : 1 + n_out], seen[1 + n_out :]
+
+
+def _audited_ranks(ok, cert):
+    return ok, cert.base.rank, [c.rank for _, c in cert.added], [c.rank for _, c in cert.removed]
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+def test_stacked_audit_stops_where_the_sequential_audit_stops(engine):
+    # random candidates at d=6 failing at (i), (ii) and (iii): the stacked
+    # audit keeps the certificates the sequential one reads, no more
+    u = dft_matrix(6)
+    rng = random.Random(6)
+    stops = set()
+    for _ in range(300):
+        rows = tuple(sorted(rng.sample(range(6), rng.randint(0, 5))))
+        cols = tuple(sorted(rng.sample(range(6), rng.randint(1, 6))))
+        got = _audited_ranks(*check_submatrix_conditions(u, rows, cols, engine=engine))
+        want = _sequential_audit(u, rows, cols, engine)
+        assert got == want, (rows, cols)
+        ok, base, added, removed = want
+        stops.add("ok" if ok else "i" if not added else "ii" if not removed else "iii")
+    assert stops == {"ok", "i", "ii", "iii"}
+
+
+@pytest.mark.parametrize(
+    "engine, dims", [("exact", range(1, 10)), ("numeric", range(1, 13))]
+)
+def test_stacked_audit_ranks_equal_per_block_ranks(engine, dims, diagram_cache):
+    for d in dims:
+        u = dft_matrix(d)
+        diag = diagram_cache(d, engine=engine)
+        for (a, b) in sorted(diag.present_set()):
+            cert = diag.points[(a, b)].certificate
+            got = _audited_ranks(True, cert)
+            assert got == _sequential_audit(u, cert.rows, cert.cols, engine), (d, a, b)
+            if engine == "exact":
+                audited = [cert.base, *(c for _, c in cert.added), *(c for _, c in cert.removed)]
+                assert all(len(c.pivots) == c.rank for c in audited)
 
 
 def test_conditions_validate_indices():
@@ -270,7 +328,7 @@ def test_orbit_members_share_key_and_rank(d):
         keys = {oracle._keys((_mask(r),), _mask(c))[0] for r, c in members}
         assert len(keys) == 1
         ranks = {
-            f(r, c) for r, c in members for f in (oracle._compute_exact, oracle._compute_numeric)
+            f((r,), c)[0] for r, c in members for f in (oracle._exact_ranks, oracle._numeric_ranks)
         }
         assert len(ranks) == 1, (rows, cols, ranks)
 
@@ -319,6 +377,21 @@ def test_exact_and_numeric_diagrams_agree(d, diagram_cache):
     assert {k: p.status for k, p in exact.points.items()} == {
         k: p.status for k, p in numeric.points.items()
     }
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_engines_share_rank_counters(d, diagram_cache):
+    # every engine screens each column set eagerly through one code path,
+    # so requests and computed ranks do not depend on the engine
+    counters = {
+        engine: diagram_cache(d, engine=engine, allow_large=True).stats
+        for engine in ("numeric", "exact", "both")
+    }
+    assert counters["exact"] == counters["both"] == counters["numeric"]
+    pinned = {8: (2832, 486), 9: (5236, 879), 10: (17699, 2734)}
+    if d in pinned:
+        stats = counters["exact"]
+        assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]
 
 
 def test_enumerate_rejects_oversized_exact():

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -11,7 +12,9 @@ from kduncd.linalg import (
     ENGINE_EXACT,
     ENGINE_NUMERIC,
     RankCertificate,
+    _exact_rank_int,
     _modulus,
+    _pivot_pairs,
     svd_rank,
 )
 
@@ -226,22 +229,81 @@ def test_exact_rank_is_certified_beyond_the_first_prime(d):
     assert cert.pivots == ((0, 0), (1, 1))
 
 
+def _largest_nonzero_minor(d, block):
+    m = _cyc_matrix(d, block)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    return max(
+        k
+        for k in range(min(nrows, ncols) + 1)
+        if k == 0
+        or any(
+            not _det([[m[i][j] for j in cs] for i in rs]).is_zero()
+            for rs in combinations(range(nrows), k)
+            for cs in combinations(range(ncols), k)
+        )
+    )
+
+
 @pytest.mark.parametrize("d", [4, 6, 8, 9])
 def test_exact_rank_is_the_largest_nonzero_minor(d):
     for block in _random_dft_blocks(d, 25, 4, seed=700 + d):
-        m = _cyc_matrix(d, block)
-        nrows, ncols = len(m), len(m[0])
-        largest = max(
-            k
-            for k in range(min(nrows, ncols) + 1)
-            if k == 0
-            or any(
-                not _det([[m[i][j] for j in cs] for i in rs]).is_zero()
-                for rs in combinations(range(nrows), k)
-                for cs in combinations(range(ncols), k)
-            )
-        )
-        assert rank(block, order=d).rank == largest
+        assert rank(block, order=d).rank == _largest_nonzero_minor(d, block)
+
+
+def _padded_stack(blocks):
+    """Exponent and coefficient arrays of term-list blocks, padded with zero
+    coefficients to the largest shape and term count."""
+    nrows = max(len(b) for b in blocks)
+    ncols = max(len(row) for b in blocks for row in b)
+    width = max(len(t) for b in blocks for row in b for t in row)
+    exps = np.zeros((len(blocks), nrows, ncols, width), dtype=np.intp)
+    coefs = np.zeros_like(exps)
+    for n, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            for j, terms in enumerate(row):
+                for t, (e, c) in enumerate(terms):
+                    exps[n, i, j, t], coefs[n, i, j, t] = e, c
+    return exps, coefs
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12])
+def test_stacked_kernel_certifies_every_block_of_a_mixed_stack(d):
+    """One padded stack of DFT blocks of many shapes and of blocks that the
+    first prime p1 leaves rank-deficient (diag(p1, 1) and two like it):
+    every rank is the largest nonzero minor and every pivot set names a
+    nonzero minor."""
+    p1 = _modulus(d, 0)[0]
+    deficient = {
+        3: [[((0, p1),), ()], [(), ((1, 1),)]],
+        11: [[((0, p1),), ((0, 1),), ()], [(), (), ((1, p1),)]],
+        20: [[((0, p1),), ()], [(), ((0, p1),)], [((1, p1),), ((0, 3 * p1),)]],
+    }
+    blocks = list(_random_dft_blocks(d, 30, 4, seed=900 + d))
+    for at, block in deficient.items():
+        blocks.insert(at, block)
+    exps, coefs = _padded_stack(blocks)
+    assert len({(len(b), len(b[0])) for b in blocks}) > 5
+    bound_sq = max(
+        math.prod(max(1, sum(sum(abs(c) for _, c in t) ** 2 for t in row)) for row in b)
+        for b in blocks
+    )
+    # bound_sq = 1 stops after the first prime
+    first = _exact_rank_int(exps, coefs, d, 1)[0]
+    ranks, pivots = _exact_rank_int(exps, coefs, d, bound_sq)
+    assert [first[at] for at in deficient] == [1, 1, 0]
+    assert [ranks[at] for at in deficient] == [2, 2, 2]
+    assert sum(first == ranks) > 20
+    for block, r, piv in zip(blocks, ranks.tolist(), pivots):
+        assert r == _largest_nonzero_minor(d, block)
+        pairs = _pivot_pairs(piv)
+        one = rank(block, order=d)
+        assert (r, pairs) == (one.rank, one.pivots)
+        rs = [i for i, _ in pairs]
+        cs = [j for _, j in pairs]
+        assert len(set(rs)) == len(set(cs)) == r
+        if r:
+            m = _cyc_matrix(d, block)
+            assert not _det([[m[i][j] for j in cs] for i in rs]).is_zero()
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 9])
