@@ -57,7 +57,7 @@ EXIT_USAGE = 2
 EXIT_ABORTED = 3
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str) -> range:
     lo_s, sep, hi_s = text.partition("..")
     try:
         lo = int(lo_s)
@@ -68,7 +68,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise click.UsageError(f"dimensions must be positive, got {text!r}")
     if lo > hi:
         raise click.UsageError(f"empty dimension range {text!r}")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cached_diagram(
@@ -178,8 +178,7 @@ def main() -> None:
 @click.option(
     "--allow-large",
     is_flag=True,
-    help=f"Lift the limits d <= {EXACT_DIMENSION_LIMIT} (exact), "
-    f"d <= {NUMERIC_DIMENSION_LIMIT} (all).",
+    help=f"Lift the size limit d <= {NUMERIC_DIMENSION_LIMIT} of every engine.",
 )
 @_cache
 def cmd_diagram(
@@ -187,7 +186,7 @@ def cmd_diagram(
 ) -> None:
     """Enumerate the uncertainty diagram for one dimension."""
     dims = _parse_dims(dim)
-    if len(dims) != 1:
+    if dims[0] != dims[-1]:
         raise click.UsageError("diagram takes a single dimension")
     d = dims[0]
     with _exit_codes():

@@ -95,6 +95,7 @@ __all__ = [
 
 ENGINE_BOTH = "both"
 
+# "auto" picks exact up to EXACT_DIMENSION_LIMIT; NUMERIC_DIMENSION_LIMIT bounds every engine.
 EXACT_DIMENSION_LIMIT = 9
 NUMERIC_DIMENSION_LIMIT = 12
 
@@ -226,8 +227,8 @@ class _RankOracle:
     members of an orbit share one rank.
 
     ``base_ranks`` answers one column set against many row sets and computes
-    the ranks it lacks as one stack, on every engine; ``rank_of`` answers
-    the single blocks of conditions (ii) and (iii) through ``rank``.
+    the ranks it lacks as one stack, on every engine; ``rank_of`` is its
+    one-row case, for the single blocks of conditions (ii) and (iii).
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -251,30 +252,20 @@ class _RankOracle:
         """Rank on ``cols`` of each row set.  Engine ``both`` computes both
         and raises on the first block, in order, where they differ."""
         if self.engine == ENGINE_NUMERIC:
-            return self._numeric_ranks(row_sets, cols)
-        ranks = self._exact_ranks(row_sets, cols)
+            return _numeric_block_ranks(self._numeric, row_sets, cols)
+        if len(row_sets) == 1:
+            ranks = [rank(_dft_block(self.d, row_sets[0], cols), order=self.d).rank]
+        else:
+            ranks = _exact_block_ranks(self.d, [(rows, cols) for rows in row_sets])[0]
         if self.engine == ENGINE_BOTH:
-            for rows, r, rn in zip(row_sets, ranks, self._numeric_ranks(row_sets, cols)):
+            numeric = _numeric_block_ranks(self._numeric, row_sets, cols)
+            for rows, r, rn in zip(row_sets, ranks, numeric):
                 if r != rn:
                     raise EngineDisagreementError(rows, cols, r, rn)
         return ranks
 
-    def _exact_ranks(self, row_sets, cols: tuple[int, ...]) -> list[int]:
-        if len(row_sets) == 1:
-            return [rank(_dft_block(self.d, row_sets[0], cols), order=self.d).rank]
-        return _exact_block_ranks(self.d, [(rows, cols) for rows in row_sets])[0]
-
-    def _numeric_ranks(self, row_sets, cols: tuple[int, ...]) -> list[int]:
-        return _numeric_block_ranks(self._numeric, row_sets, cols)
-
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        key = self._keys((_mask(rows),), _mask(cols))[0]
-        self.requests += 1
-        r = self._ranks.get(key)
-        if r is None:
-            self.computed += 1
-            r = self._ranks[key] = self._compute((rows,), cols)[0]
-        return r
+        return self.base_ranks((rows,), (_mask(rows),), cols)[0]
 
     def base_ranks(self, row_sets, row_masks, cols: tuple[int, ...]) -> list[int]:
         """Rank on ``cols`` of each row set, in order, one request each;
@@ -322,8 +313,8 @@ def _numeric_block_ranks(numeric: np.ndarray, row_sets, cols) -> list[int]:
 def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:
     """The engine a search on a d x d matrix of this kind runs on.
 
-    Raises ValueError past the size limits.  It takes no matrix, so a caller
-    can refuse a dimension before building the d x d matrix.
+    Raises ValueError past the one size limit, unless ``allow_large``.  It
+    takes no matrix, so a caller can refuse d before building the d x d matrix.
     """
     if engine == "auto":
         if kind is TransitionKind.DFT and d <= EXACT_DIMENSION_LIMIT:
@@ -334,15 +325,8 @@ def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool
         raise ValueError(f"unknown engine {engine!r}")
     if engine != ENGINE_NUMERIC and kind is not TransitionKind.DFT:
         raise ValueError("exact engine requires the DFT transition matrix")
-    if not allow_large:
-        if engine != ENGINE_NUMERIC and d > EXACT_DIMENSION_LIMIT:
-            raise ValueError(
-                f"exact engine is limited to d <= {EXACT_DIMENSION_LIMIT} by default"
-            )
-        if d > NUMERIC_DIMENSION_LIMIT:
-            raise ValueError(
-                f"enumeration is limited to d <= {NUMERIC_DIMENSION_LIMIT} by default"
-            )
+    if d > NUMERIC_DIMENSION_LIMIT and not allow_large:
+        raise ValueError(f"enumeration is limited to d <= {NUMERIC_DIMENSION_LIMIT} by default")
     return engine
 
 

@@ -151,12 +151,14 @@ def state_from_amplitudes(amps) -> StateVector:
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.linalg.norm(a))
     if not 0.0 < nrm < math.inf:
-        # the sum of squares under- or overflowed: divide by the largest part first
+        # the sum of squares under- or overflowed: divide the float view by the
+        # largest part first (complex division by a subnormal real overflows)
         scale = float(np.abs(a.view(float)).max(initial=0.0)) or 1.0
-        nrm = float(np.linalg.norm(a / scale))
+        a = (a.view(float) / scale).view(complex)
+        nrm = float(np.linalg.norm(a))
     if nrm == 0.0:
         raise ValueError("state vector must be nonzero")
-    a = a / scale / nrm
+    a = a / nrm
     a.setflags(write=False)
     return StateVector(d=a.size, amps_a=a, norm=scale * nrm)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def _fmt_points(points) -> str:
 
 
 def _verify_claims(
-    dims: Sequence[int], diagrams: DiagramProvider, label: str, predict, passing: str
+    dims: Iterable[int], diagrams: DiagramProvider, label: str, predict, passing: str
 ) -> list[VerifyRow]:
     """Every point the rule claims must be Present; ``passing`` may name ``{n}`` claims."""
     rows = []
@@ -86,7 +86,7 @@ def _verify_claims(
 
 
 def _verify_row_exact(
-    dims: Sequence[int], diagrams: DiagramProvider, label: str, predict
+    dims: Iterable[int], diagrams: DiagramProvider, label: str, predict
 ) -> list[VerifyRow]:
     rows = []
     for d in dims:
@@ -108,16 +108,16 @@ def _verify_row_exact(
     return rows
 
 
-def verify_theorem2(dims: Sequence[int], diagrams: DiagramProvider) -> list[VerifyRow]:
+def verify_theorem2(dims: Iterable[int], diagrams: DiagramProvider) -> list[VerifyRow]:
     return _verify_row_exact(dims, diagrams, "T2", predict_theorem2)
 
 
-def verify_theorem3(dims: Sequence[int], diagrams: DiagramProvider) -> list[VerifyRow]:
+def verify_theorem3(dims: Iterable[int], diagrams: DiagramProvider) -> list[VerifyRow]:
     return _verify_row_exact(dims, diagrams, "T3", predict_theorem3)
 
 
 def verify_theorem4(
-    dims: Sequence[int],
+    dims: Iterable[int],
     diagrams: DiagramProvider,
     *,
     witness_samples: int = 1000,
@@ -185,7 +185,7 @@ def _witness_faults(u, key: tuple[int, int], amps: np.ndarray) -> list[str]:
 
 
 def verify_theorem5(
-    dims: Sequence[int],
+    dims: Iterable[int],
     *,
     pairs: int = 100,
     samples: int = 100,
@@ -269,7 +269,7 @@ def lemma3_check(d: int) -> tuple[int, int]:
     return checked, violations
 
 
-def verify_lemma3(dims: Sequence[int]) -> list[VerifyRow]:
+def verify_lemma3(dims: Iterable[int]) -> list[VerifyRow]:
     rows = []
     for d in dims:
         checked, violations = lemma3_check(d)
@@ -311,15 +311,19 @@ def verify_suite(
             raise IndeterminateDiagramError(f"d={d} diagram holds {len(unknown)} Unknown points")
         return diag
 
-    if theorem == "L3" and max(dims, default=0) > NUMERIC_DIMENSION_LIMIT:
+    if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
         raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
     low = _MIN_DIMENSION.get(theorem, 1)
-    skipped = [
-        VerifyRow(d=d, label=theorem, passed=None, detail=f"rule needs d >= {low}; not checked")
-        for d in dims
-        if d < low
-    ]
-    dims = [d for d in dims if d >= low]
+    skipped: list[VerifyRow] = []
+
+    def checked(d: int) -> bool:
+        if d < low:
+            detail = f"rule needs d >= {low}; not checked"
+            skipped.append(VerifyRow(d=d, label=theorem, passed=None, detail=detail))
+        return d >= low
+
+    # filtered lazily, so a refused dimension ends even a huge range at once
+    dims = filter(checked, dims)
     if theorem == "T1":
         rows = _verify_claims(dims, definite, "T1", predict_theorem1, "all claims present")
     elif theorem == "C1":

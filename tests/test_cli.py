@@ -85,17 +85,30 @@ def test_diagram_cache_reuse(runner, tmp_path):
 
 
 def test_diagram_allow_large_lifts_the_size_limit(runner, tmp_path):
-    args = ["diagram", "--d", "10", "--engine", "exact", "--cache", str(tmp_path)]
+    args = ["diagram", "--d", "13", "--engine", "exact", "--cache", str(tmp_path)]
     refused = runner.invoke(main, args)
     assert refused.exit_code == 2, refused.output
     allowed = runner.invoke(main, args + ["--allow-large"])
     assert allowed.exit_code == 0, allowed.output
-    assert allowed.output.startswith("d=10 engine=exact present=66 holes=34 unknown=0")
+    assert allowed.output.startswith("d=13 engine=exact present=91 holes=78 unknown=0")
     # the flag does not enter the cache key, so verify reads the same file
-    verify = ["verify", "T2", "--d", "10", "--engine", "exact", "--cache", str(tmp_path)]
+    verify = ["verify", "T2", "--d", "13", "--engine", "exact", "--cache", str(tmp_path)]
     result = runner.invoke(main, verify)
     assert result.exit_code == 0, result.output
     assert len(list(tmp_path.glob("diagram-*.json"))) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "T2", "--d", "10..12", "--engine", "exact"],
+        ["witness", "--d", "12", "6", "4", "--engine", "exact", "--seed", "7"],
+    ],
+    ids=["verify", "witness"],
+)
+def test_exact_engine_certifies_up_to_the_one_size_limit(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
 
 
 def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
@@ -201,6 +214,23 @@ def test_size_limit_is_checked_before_the_matrix_is_built(runner, monkeypatch, a
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "limited to d <= 12" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["diagram", "--d", "1..99999999999"], "single dimension"),
+        (["verify", "L3", "--d", "2..99999999999"], "L3 is limited to d <= 12"),
+        (["verify", "T2", "--d", "13..99999999999"], "limited to d <= 12"),
+    ],
+    ids=["diagram", "verify-L3", "verify-T2"],
+)
+def test_huge_dimension_ranges_are_refused_without_building_them(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize("dims", ["13", "2..24"])
@@ -417,8 +447,9 @@ def test_classify_rejects_bad_amplitudes(runner, tmp_path, amps):
         ("[[1, 0], [1e308, 0]]", 1),
         ("[[1.7e308, 0], [1.7e308, 0]]", 2),
         ("[[1e-200, 0], [0, 0]]", 1),
+        ("[[1e-310, 0], [0, 0]]", 1),
     ],
-    ids=["one-huge", "both-near-float-max", "tiny"],
+    ids=["one-huge", "both-near-float-max", "tiny", "subnormal"],
 )
 def test_classify_normalizes_without_overflow_or_underflow(runner, tmp_path, amps, n_a):
     path = tmp_path / "extreme.json"
@@ -493,7 +524,7 @@ def test_verify_exits_nonzero_on_mismatch(runner, monkeypatch):
 
 def test_engine_both_exits_nonzero_on_disagreement(runner, monkeypatch):
     monkeypatch.setattr(
-        diagram_mod._RankOracle, "_numeric_ranks", lambda self, row_sets, cols: [0] * len(row_sets)
+        diagram_mod, "_numeric_block_ranks", lambda numeric, row_sets, cols: [0] * len(row_sets)
     )
     result = runner.invoke(main, ["diagram", "--d", "4", "--engine", "both"])
     assert result.exit_code == 1

@@ -12,6 +12,7 @@ from kduncd import (
     PointCertificate,
     PointStatus,
     StateVector,
+    TransitionKind,
     Verdict,
     WitnessSamplingError,
     check_submatrix_conditions,
@@ -41,6 +42,7 @@ from kduncd.diagram import (
     _least_rotations,
     _mask,
     _RankOracle,
+    _resolve_engine,
     _witness_block,
 )
 
@@ -315,6 +317,7 @@ def test_orbit_members_share_key_and_rank(d):
     rng = random.Random(d)
     u = dft_matrix(d)
     oracle = _RankOracle(u, "both")
+    engines = [_RankOracle(u, engine) for engine in ("exact", "numeric")]
 
     def shift(xs, s):
         return tuple(sorted((x + s) % d for x in xs))
@@ -327,9 +330,7 @@ def test_orbit_members_share_key_and_rank(d):
         members.append((shift(cols, 1), shift(rows, 2)))
         keys = {oracle._keys((_mask(r),), _mask(c))[0] for r, c in members}
         assert len(keys) == 1
-        ranks = {
-            f((r,), c)[0] for r, c in members for f in (oracle._exact_ranks, oracle._numeric_ranks)
-        }
+        ranks = {e._compute([r], c)[0] for r, c in members for e in engines}
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
@@ -394,9 +395,17 @@ def test_engines_share_rank_counters(d, diagram_cache):
         assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]
 
 
-def test_enumerate_rejects_oversized_exact():
-    with pytest.raises(ValueError):
-        enumerate_diagram(dft_matrix(10), engine="exact")
+def test_enumerate_rejects_oversized_exact(diagram_cache):
+    # one size limit for every engine: exact and both run d=10 without
+    # allow_large, every engine refuses d=13, and auto keeps its switch
+    for engine in ("exact", "both"):
+        assert not diagram_cache(10, engine=engine).unknown_set()
+    for engine in ("auto", "exact", "numeric", "both"):
+        with pytest.raises(ValueError, match="enumeration is limited to d <= 12 by default"):
+            enumerate_diagram(dft_matrix(13), engine=engine)
+    assert [_resolve_engine(d, TransitionKind.DFT, "auto", False) for d in range(1, 13)] == (
+        ["exact"] * 9 + ["numeric"] * 3
+    )
 
 
 @pytest.mark.slow

@@ -174,6 +174,13 @@ def test_state_from_amplitudes_rejects_non_finite_amplitudes(amps):
         state_from_amplitudes(amps)
 
 
+@pytest.mark.parametrize("amps", [[5e-324, 0], [1e-310, 1e-310]], ids=["least", "subnormal"])
+def test_state_from_amplitudes_normalizes_subnormal_amplitudes(amps):
+    psi = state_from_amplitudes(amps)
+    assert np.isfinite(psi.amps_a).all()
+    assert np.linalg.norm(psi.amps_a) == pytest.approx(1.0)
+
+
 def test_support_uncertainty_bound_dft():
     assert support_uncertainty_bound(dft_matrix(8)) == pytest.approx(8.0, abs=1e-9)
 
