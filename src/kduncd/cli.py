@@ -2,9 +2,9 @@
 verification suites, and emit witness states.
 
 Exit codes: 0 success, 1 verification mismatch, engine disagreement or
-failed witness sampling, 2 usage error, 3 resource abort (Unknown points
-from a budget-cut search: in `diagram` without --allow-partial, and in any
-`verify` rule that reads the diagram).
+failed witness sampling, 2 usage error, 3 resource abort (running out of
+memory, or Unknown points from a budget-cut search: in `diagram` without
+--allow-partial, and in any `verify` rule that reads the diagram).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .diagram import (
     witness_state,
 )
 from .kd import (
+    DEFAULT_CLASSICALITY_EPS,
+    DEFAULT_SUPPORT_EPS,
     SupportThresholdError,
     TransitionKind,
     classify_state,
@@ -106,12 +108,15 @@ def _cached_diagram(
 @contextmanager
 def _exit_codes():
     """Map engine disagreements and failed witness sampling to exit 1,
-    invalid inputs and unwritable output or cache paths to exit 2 and checks
-    on budget-cut diagrams to exit 3."""
+    invalid inputs and unwritable output or cache paths to exit 2, and
+    running out of memory and checks on budget-cut diagrams to exit 3."""
     try:
         yield
     except IndeterminateDiagramError as exc:
         click.echo(f"unresolved points: {exc}; raise --max-checks", err=True)
+        sys.exit(EXIT_ABORTED)
+    except MemoryError as exc:
+        click.echo(f"out of memory: {exc}", err=True)
         sys.exit(EXIT_ABORTED)
     except EngineDisagreementError as exc:
         click.echo(f"engine disagreement: {exc}", err=True)
@@ -133,9 +138,7 @@ def _positive_finite(ctx, param, value: float) -> float:
     return value
 
 
-_tolerance = partial(
-    click.option, type=float, default=1e-10, show_default=True, callback=_positive_finite
-)
+_tolerance = partial(click.option, type=float, show_default=True, callback=_positive_finite)
 _engine = click.option(
     "--engine",
     type=click.Choice(["auto", "exact", "numeric", "both"]),
@@ -145,8 +148,8 @@ _engine = click.option(
 )
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
 _max_checks = _count("--max-checks", help="Per-point candidate budget.")
-_eps_support = _tolerance("--eps-support")
-_eps_classical = _tolerance("--eps-classical")
+_eps_support = _tolerance("--eps-support", default=DEFAULT_SUPPORT_EPS)
+_eps_classical = _tolerance("--eps-classical", default=DEFAULT_CLASSICALITY_EPS)
 _seed = click.option("--seed", type=int, default=None)
 _cache = click.option(
     "--cache",

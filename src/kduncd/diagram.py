@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .cyclotomic import divisors, is_prime
-from .kd import StateVector, TransitionKind, TransitionMatrix, _support_masks
+from .kd import DEFAULT_SUPPORT_EPS, StateVector, TransitionKind, TransitionMatrix, _support_masks
 from .linalg import (
     DEFAULT_RANK_TOL,
     ENGINE_EXACT,
@@ -64,7 +64,7 @@ from .linalg import (
     rank,
     svd_rank,
 )
-from .states import _as_rng, _subspace_sampler
+from .states import _subspace_sampler
 
 __all__ = [
     "DiagramPoint",
@@ -438,9 +438,9 @@ def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
     seen: set[int] = set()
     reps = []
     for cols in combinations(range(d), size):
-        if sum(1 << x for x in cols) not in seen:
+        if _mask(cols) not in seen:
             reps.append(cols)
-            seen.update(sum(1 << m[x] for x in cols) for m in maps)
+            seen.update(_mask(m[x] for x in cols) for m in maps)
     return tuple(reps)
 
 
@@ -500,15 +500,10 @@ def point_exists(
     n_b: int,
     *,
     engine: str = "auto",
-    sym_reduce: bool = False,
     max_checks: int | None = None,
     allow_large: bool = False,
 ) -> DiagramPoint:
-    """Decide one lattice point by searching the row/column selections.
-
-    ``sym_reduce`` is ignored, as the DFT search always scans the quotient.
-    It stays only because ``perfbench/bench.py`` and
-    ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``."""
+    """Decide one lattice point by searching the row/column selections."""
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     return _find_point(u, _RankOracle(u, eng), n_a, n_b, max_checks)
 
@@ -523,8 +518,10 @@ def enumerate_diagram(
 ) -> UncertaintyDiagram:
     """Assign Present/Hole (or Unknown under a budget) to every lattice point.
 
-    One rank cache serves the whole run.  ``sym_reduce`` is ignored, as in
-    ``point_exists``.
+    One rank cache serves the whole run.  ``sym_reduce`` is ignored, as the
+    DFT search always scans the quotient; it stays only because
+    ``perfbench/bench.py`` and ``perfbench/tests/test_perfbench.py`` pass
+    ``sym_reduce=False``.
     """
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     oracle = _RankOracle(u, eng)
@@ -565,11 +562,11 @@ def witness_state(
     point: DiagramPoint,
     seed: int | np.random.Generator | None = None,
     *,
-    eps_support: float = 1e-10,
+    eps_support: float = DEFAULT_SUPPORT_EPS,
 ) -> StateVector:
     """Random state realizing a certified Present point's exact profile: the
     one-row case of ``_witness_block``."""
-    amps = _witness_block(u, point, 1, _as_rng(seed), eps_support)[0]
+    amps = _witness_block(u, point, 1, np.random.default_rng(seed), eps_support)[0]
     amps.setflags(write=False)
     return StateVector(d=u.d, amps_a=amps, norm=1.0)
 

@@ -25,12 +25,6 @@ __all__ = [
 ]
 
 
-def _as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class CosetSpec:
     """Parameters of a classical coset state: A-support size p dividing d,
@@ -72,7 +66,7 @@ def random_state_in_subspace(
 ) -> StateVector:
     """Random unit state in the subspace with A-support inside ``s_set`` and
     B-support inside ``t_set``: one draw of ``_subspace_sampler``."""
-    amps = _subspace_sampler(u, s_set, t_set)(_as_rng(seed), 1)[0]
+    amps = _subspace_sampler(u, s_set, t_set)(np.random.default_rng(seed), 1)[0]
     amps.setflags(write=False)
     return StateVector(d=u.d, amps_a=amps, norm=1.0)
 
@@ -142,7 +136,7 @@ def mub_from_parts(
 def random_mub_pair(d: int, seed: int | np.random.Generator | None = None) -> TransitionMatrix:
     """Random mutually unbiased pair: the DFT dressed with random unit-modulus
     diagonal phases on both sides and a random column permutation."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     phases_a = rng.uniform(0.0, 2.0 * np.pi, size=d)
     phases_b = rng.uniform(0.0, 2.0 * np.pi, size=d)
     perm = rng.permutation(d)

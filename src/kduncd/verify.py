@@ -73,7 +73,7 @@ def _fmt_points(points) -> str:
 
 
 def _verify_claims(
-    dims: Iterable[int], diagrams: DiagramProvider, label: str, predict, passing: str
+    dims: Iterable[int], diagrams: DiagramProvider, predict, passing: str
 ) -> list[VerifyRow]:
     """Every point the rule claims must be Present; ``passing`` may name ``{n}`` claims."""
     rows = []
@@ -81,13 +81,11 @@ def _verify_claims(
         pred = predict(d)
         missing = pred.points - diagrams(d).present_set()
         detail = f"missing {_fmt_points(missing)}" if missing else passing.format(n=len(pred.points))
-        rows.append(VerifyRow(d=d, label=label, passed=not missing, detail=detail))
+        rows.append(VerifyRow(d=d, label=pred.theorem, passed=not missing, detail=detail))
     return rows
 
 
-def _verify_row_exact(
-    dims: Iterable[int], diagrams: DiagramProvider, label: str, predict
-) -> list[VerifyRow]:
+def _verify_row_exact(dims: Iterable[int], diagrams: DiagramProvider, predict) -> list[VerifyRow]:
     rows = []
     for d in dims:
         pred = predict(d)
@@ -104,16 +102,8 @@ def _verify_row_exact(
             passed: bool | None = True if match else None
         else:
             passed = match
-        rows.append(VerifyRow(d=d, label=label, passed=passed, detail=detail))
+        rows.append(VerifyRow(d=d, label=pred.theorem, passed=passed, detail=detail))
     return rows
-
-
-def verify_theorem2(dims: Iterable[int], diagrams: DiagramProvider) -> list[VerifyRow]:
-    return _verify_row_exact(dims, diagrams, "T2", predict_theorem2)
-
-
-def verify_theorem3(dims: Iterable[int], diagrams: DiagramProvider) -> list[VerifyRow]:
-    return _verify_row_exact(dims, diagrams, "T3", predict_theorem3)
 
 
 def verify_theorem4(
@@ -325,15 +315,13 @@ def verify_suite(
     # filtered lazily, so a refused dimension ends even a huge range at once
     dims = filter(checked, dims)
     if theorem == "T1":
-        rows = _verify_claims(dims, definite, "T1", predict_theorem1, "all claims present")
+        rows = _verify_claims(dims, definite, predict_theorem1, "all claims present")
     elif theorem == "C1":
-        rows = _verify_claims(
-            dims, definite, "C1", predict_corollary1, "{n} half-plane points present"
-        )
+        rows = _verify_claims(dims, definite, predict_corollary1, "{n} half-plane points present")
     elif theorem == "T2":
-        rows = verify_theorem2(dims, definite)
+        rows = _verify_row_exact(dims, definite, predict_theorem2)
     elif theorem == "T3":
-        rows = verify_theorem3(dims, definite)
+        rows = _verify_row_exact(dims, definite, predict_theorem3)
     elif theorem == "T4":
         rows = verify_theorem4(
             dims, definite, witness_samples=1000 if samples is None else samples, seed=seed

@@ -24,7 +24,7 @@ from kduncd.cli import main
 from kduncd.diagram import _dft_block
 from kduncd.verify import (
     lemma3_check,
-    verify_theorem3,
+    verify_suite,
     verify_theorem4,
     verify_theorem5,
 )
@@ -74,7 +74,7 @@ def test_criterion_03_row_two_exactness(diagram_cache):
 
 
 def test_criterion_04_row_three_check(diagram_cache):
-    rows = verify_theorem3(range(3, 13), diagram_cache)
+    rows = verify_suite("T3", range(3, 13), diagram_cache)
     for row in rows:
         applicable = predict_theorem3(row.d).applicable
         if applicable or row.d == 8:
@@ -145,7 +145,7 @@ def test_criterion_09_engine_agreement(diagram_cache):
     # on a disagreement; a cache hit compares nothing, so count the misses
     compared = 0
     for d in (8, 9, 10):
-        both = diagram_cache(d, engine="both", allow_large=True)
+        both = diagram_cache(d, engine="both")
         baseline = diagram_cache(d)
         assert {k: p.status for k, p in both.points.items()} == {
             k: p.status for k, p in baseline.points.items()

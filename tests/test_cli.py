@@ -233,6 +233,33 @@ def test_huge_dimension_ranges_are_refused_without_building_them(runner, args, m
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        (
+            "kduncd.cli.enumerate_diagram",
+            ["diagram", "--allow-large", "--engine", "numeric", "--d", "40"],
+        ),
+        (
+            "kduncd.verify.random_mub_pair",
+            ["verify", "T5", "--d", "1000000000000", "--samples", "1", "--pairs", "1"],
+        ),
+    ],
+    ids=["diagram", "verify-T5"],
+)
+def test_running_out_of_memory_is_a_resource_abort(runner, monkeypatch, target, args):
+    # raised, not allocated: an overcommitting system kills the process instead
+    def exhaust(*a, **kw):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(target, exhaust)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr == "out of memory: Unable to allocate 16.0 TiB for an array\n"
+
+
 @pytest.mark.parametrize("dims", ["13", "2..24"])
 def test_verify_l3_refuses_large_dimensions_before_checking_any(runner, monkeypatch, dims):
     def refuse(d):

@@ -367,7 +367,7 @@ def test_budget_boundaries(d, engine, diagram_cache):
 @pytest.mark.parametrize("d", [9, 10])
 def test_screened_numeric_search_finds_the_exact_certificates(d, diagram_cache):
     numeric = diagram_cache(d, engine="numeric")
-    exact = diagram_cache(d, engine="exact", allow_large=True)
+    exact = diagram_cache(d, engine="exact")
     assert _outcomes(numeric) == _outcomes(exact)
     assert len(exact.present_set()) > 50
 
@@ -385,7 +385,7 @@ def test_engines_share_rank_counters(d, diagram_cache):
     # every engine screens each column set eagerly through one code path,
     # so requests and computed ranks do not depend on the engine
     counters = {
-        engine: diagram_cache(d, engine=engine, allow_large=True).stats
+        engine: diagram_cache(d, engine=engine).stats
         for engine in ("numeric", "exact", "both")
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
@@ -410,9 +410,8 @@ def test_enumerate_rejects_oversized_exact(diagram_cache):
 
 @pytest.mark.slow
 def test_engine_agreement_full_d10_enumeration(diagram_cache):
-    """Every rank the d=10 enumeration touches agrees across engines (the
-    exact engine is forced past its default size limit for the comparison)."""
-    diag = diagram_cache(10, engine="both", allow_large=True)
+    """Every rank the d=10 enumeration touches agrees across engines."""
+    diag = diagram_cache(10, engine="both")
     assert not diag.unknown_set()
     assert diag.is_symmetric()
 
