@@ -29,6 +29,12 @@ least column set of each orbit under x -> ax + s, and row sets containing
 member of its column orbit would certify first, and R - min R certifies
 too), and an exhausted quotient rules out every selection.
 
+The DFT diagram is symmetric, as the conjugate DFT maps a state with
+profile (a, b) to one with profile (b, a).  So ``enumerate_diagram`` reads
+each point with n_a > n_b off its mirror (n_b, n_a), decided earlier
+(``_mirrored_point``); such a point's certificate is the complement-swap of
+its mirror's, not the full scan's first candidate.
+
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
@@ -494,6 +500,27 @@ def _find_point(
     )
 
 
+def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> DiagramPoint | None:
+    """The DFT point (n_a, n_b) read off its decided mirror (n_b, n_a), or
+    None when the point must be searched.
+
+    A mirror Hole gives a Hole.  A mirror certificate (R, C) gives rows
+    Z_d - C and columns Z_d - R, kept if they pass the audit a searched
+    certificate gets.
+    """
+    n_a, n_b = mirror.n_b, mirror.n_a
+    if mirror.status is PointStatus.HOLE:
+        note = f"mirror of ({mirror.n_a}, {mirror.n_b})"
+        return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
+    if mirror.status is PointStatus.PRESENT:
+        rows = set(range(u.d)) - set(mirror.certificate.cols)
+        cols = set(range(u.d)) - set(mirror.certificate.rows)
+        ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
+        if ok:
+            return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert)
+    return None
+
+
 def point_exists(
     u: TransitionMatrix,
     n_a: int,
@@ -518,18 +545,22 @@ def enumerate_diagram(
 ) -> UncertaintyDiagram:
     """Assign Present/Hole (or Unknown under a budget) to every lattice point.
 
-    One rank cache serves the whole run.  ``sym_reduce`` is ignored, as the
-    DFT search always scans the quotient; it stays only because
-    ``perfbench/bench.py`` and ``perfbench/tests/test_perfbench.py`` pass
-    ``sym_reduce=False``.
+    One rank cache serves the whole run.  A DFT point with n_a > n_b is
+    first read off its mirror (n_b, n_a), decided earlier in the loop, and
+    searched only if that fails; a mirrored point spends no budget.
+    ``sym_reduce`` is ignored, as the DFT search always scans the quotient;
+    it stays only because ``perfbench/bench.py`` and
+    ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``.
     """
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     oracle = _RankOracle(u, eng)
+    dft = u.kind is TransitionKind.DFT
     start = time.perf_counter()
     points: dict[tuple[int, int], DiagramPoint] = {}
     for n_a in range(1, u.d + 1):
         for n_b in range(1, u.d + 1):
-            points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b, max_checks)
+            mirrored = _mirrored_point(u, eng, points[(n_b, n_a)]) if dft and n_b < n_a else None
+            points[(n_a, n_b)] = mirrored or _find_point(u, oracle, n_a, n_b, max_checks)
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,

@@ -289,13 +289,18 @@ def verify_suite(
     of a check, so every requested dimension is reported.  A count left at
     None takes the rule's default.  ``L3`` refuses the whole range if any
     dimension exceeds the enumeration limit, as its submatrix count grows
-    combinatorially with d.  A diagram holding Unknown points raises
-    ``IndeterminateDiagramError``: a budget-cut search decides no rule.
+    combinatorially with d.  The rules that read diagrams ask for those past
+    the limit first, so a provider that refuses one refuses the range before
+    any diagram below the limit is enumerated.  A diagram holding Unknown
+    points raises ``IndeterminateDiagramError``: a budget-cut search decides
+    no rule.
     """
     theorem = theorem.upper()
 
+    large: dict[int, UncertaintyDiagram] = {}
+
     def definite(d: int) -> UncertaintyDiagram:
-        diag = diagrams(d)
+        diag = large[d] if d in large else diagrams(d)
         unknown = diag.unknown_set()
         if unknown:
             raise IndeterminateDiagramError(f"d={d} diagram holds {len(unknown)} Unknown points")
@@ -303,6 +308,8 @@ def verify_suite(
 
     if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
         raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
+    if theorem in ("T1", "C1", "T2", "T3", "T4"):
+        large.update((d, definite(d)) for d in dims if d > NUMERIC_DIMENSION_LIMIT)
     low = _MIN_DIMENSION.get(theorem, 1)
     skipped: list[VerifyRow] = []
 

@@ -144,7 +144,7 @@ def test_criterion_09_engine_agreement(diagram_cache):
     # "both" computes each rank the cache misses with both engines and raises
     # on a disagreement; a cache hit compares nothing, so count the misses
     compared = 0
-    for d in (8, 9, 10):
+    for d in (8, 9, 10, 11):
         both = diagram_cache(d, engine="both")
         baseline = diagram_cache(d)
         assert {k: p.status for k, p in both.points.items()} == {

@@ -273,6 +273,21 @@ def test_verify_l3_refuses_large_dimensions_before_checking_any(runner, monkeypa
     assert "L3 is limited to d <= 12" in result.output
 
 
+@pytest.mark.parametrize("theorem", ["T1", "C1", "T2", "T3", "T4"])
+def test_verify_refuses_a_range_past_the_size_limit_before_enumerating(
+    runner, monkeypatch, theorem
+):
+    def refuse(u, **kwargs):
+        raise AssertionError(f"enumerated d={u.d} of a refused range")
+
+    monkeypatch.setattr("kduncd.cli.enumerate_diagram", refuse)
+    result = runner.invoke(main, ["verify", theorem, "--d", "2..13"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "enumeration is limited to d <= 12 by default" in result.output
+
+
 def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatch):
     result = runner.invoke(
         main, ["witness", "--d", "6", "3", "4", "--eps-support", "0.9", "--seed", "1"]

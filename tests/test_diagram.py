@@ -1,7 +1,8 @@
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from kduncd.diagram import (
     _dft_block,
     _least_rotations,
     _mask,
+    _mirrored_point,
     _RankOracle,
     _resolve_engine,
     _witness_block,
@@ -263,13 +265,62 @@ def _outcomes(diag):
     }
 
 
+def _mirror(d, selection):
+    """The complement-swap (Z_d - C, Z_d - R) of a selection (R, C)."""
+    rows, cols = selection
+    return tuple(x for x in range(d) if x not in cols), tuple(x for x in range(d) if x not in rows)
+
+
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_quotient_search_matches_full_scan(d, engine, diagram_cache):
-    # the orbit quotient must give every status and certificate of the scan
-    # over all row and column selections
+    # the orbit quotient must give every status of the scan over all row and
+    # column selections, and its certificate for n_a <= n_b; a point with
+    # n_a > n_b carries its mirror's certificate, complement-swapped
     diag = diagram_cache(d, engine=engine)
-    assert _outcomes(diag) == _full_scan(dft_matrix(d), engine, diag.points)
+    scan = _full_scan(dft_matrix(d), engine, diag.points)
+    want = {
+        (a, b): (status, cert if a <= b or cert is None else _mirror(d, scan[(b, a)][1]))
+        for (a, b), (status, cert) in scan.items()
+    }
+    assert _outcomes(diag) == want
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_mirrored_statuses_match_the_unmirrored_search(d, diagram_cache):
+    # each n_a > n_b point is read off its mirror; searched on its own it gets
+    # the same status, so is_symmetric() still compares two searches
+    u = dft_matrix(d)
+    for (a, b), point in diagram_cache(d).points.items():
+        if a > b:
+            assert point_exists(u, a, b).status is point.status, (a, b)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_mirrored_certificates_are_complement_swaps(d, diagram_cache):
+    u = dft_matrix(d)
+    diag = diagram_cache(d)
+    for (a, b), point in diag.points.items():
+        if a <= b:
+            continue
+        if point.status is PointStatus.HOLE:
+            assert point.note == f"mirror of ({b}, {a})"
+            continue
+        cert, partner = point.certificate, diag.points[(b, a)].certificate
+        assert (cert.rows, cert.cols) == _mirror(d, (partner.rows, partner.cols)), (a, b)
+        assert check_submatrix_conditions(u, cert.rows, cert.cols, engine="exact")[0], (a, b)
+
+
+def test_mirrored_point_needs_a_decided_mirror_that_passes_the_audit():
+    u = dft_matrix(6)
+    hole = _mirrored_point(u, "exact", DiagramPoint(n_a=1, n_b=2, status=PointStatus.HOLE))
+    assert hole == DiagramPoint(n_a=2, n_b=1, status=PointStatus.HOLE, note="mirror of (1, 2)")
+    unknown = DiagramPoint(n_a=2, n_b=4, status=PointStatus.UNKNOWN)
+    assert _mirrored_point(u, "exact", unknown) is None
+    # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block
+    forged = PointCertificate(rows=(0, 1, 2, 3), cols=(0, 1, 2, 3))
+    present = DiagramPoint(n_a=2, n_b=4, status=PointStatus.PRESENT, certificate=forged)
+    assert _mirrored_point(u, "exact", present) is None
 
 
 def test_general_matrix_search_scans_every_selection():
@@ -343,11 +394,12 @@ def _scan_order(d, n_a, n_b):
 
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
 @pytest.mark.parametrize("d", [6, 7, 8])
-def test_budget_boundaries(d, engine, diagram_cache):
+def test_budget_boundaries(d, engine):
     # a Present point certified by candidate k needs a budget of exactly k,
     # a Hole with N candidates a budget of exactly N
     u = dft_matrix(d)
-    for (n_a, n_b), point in diagram_cache(d, engine=engine).points.items():
+    for n_a, n_b in product(range(1, d + 1), repeat=2):
+        point = point_exists(u, n_a, n_b, engine=engine)
         col_sets, row_sets = _scan_order(d, n_a, n_b)
         if point.status is PointStatus.PRESENT:
             cert = point.certificate
@@ -389,7 +441,7 @@ def test_engines_share_rank_counters(d, diagram_cache):
         for engine in ("numeric", "exact", "both")
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
-    pinned = {8: (2832, 486), 9: (5236, 879), 10: (17699, 2734)}
+    pinned = {8: (1897, 303), 9: (3444, 537), 10: (12105, 1666)}
     if d in pinned:
         stats = counters["exact"]
         assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]
@@ -421,6 +473,18 @@ def test_prime_d13_diagram_is_the_half_plane():
     u = dft_matrix(13)
     diag = enumerate_diagram(u, engine="numeric", allow_large=True)
     assert is_completely_incompatible(u, diagram=diag)
+
+
+@pytest.mark.parametrize("d", [13, 14])
+def test_large_numeric_diagrams_match_the_checked_in_statuses(d, diagram_cache):
+    # data/dft_statuses_13_16.json holds the --engine both diagrams of d=13..16
+    data = json.loads((Path(__file__).parent / "data" / "dft_statuses_13_16.json").read_text())
+    diag = diagram_cache(d, engine="numeric", allow_large=True)
+    grid = [
+        "".join("P" if diag.status(a, b) is PointStatus.PRESENT else "H" for b in range(1, d + 1))
+        for a in range(1, d + 1)
+    ]
+    assert grid == data["statuses"][str(d)]
 
 
 @pytest.mark.slow
