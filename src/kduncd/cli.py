@@ -2,9 +2,7 @@
 verification suites, and emit witness states.
 
 Exit codes: 0 success, 1 verification mismatch, engine disagreement or
-failed witness sampling, 2 usage error, 3 resource abort (running out of
-memory, or Unknown points from a budget-cut search: in `diagram` without
---allow-partial, and in any `verify` rule that reads the diagram).
+failed witness sampling, 2 usage error, 3 out of memory.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .diagram import (
     EXACT_DIMENSION_LIMIT,
     NUMERIC_DIMENSION_LIMIT,
     EngineDisagreementError,
-    IndeterminateDiagramError,
     PointStatus,
     UncertaintyDiagram,
     WitnessSamplingError,
@@ -74,19 +71,20 @@ def _parse_dims(text: str) -> range:
 
 
 def _cached_diagram(
-    d: int, cache_dir: Path | None, allow_large: bool = False, **search
+    d: int, cache_dir: Path | None, engine: str, allow_large: bool = False
 ) -> UncertaintyDiagram:
     """Enumerate, or read the cache file written by an identical search.
 
     A missing, unreadable, truncated or incomplete cache file is a miss: the
     diagram is recomputed and the file replaced.  Writes go through a
     temporary file and ``os.replace``, so a reader never sees half a file.
-    A diagram with Unknown points is not written.
-    ``allow_large`` changes no diagram, so it stays out of the cache key.
+    A file holding a status other than Present or Hole fails to load, so it
+    is a miss too.  ``allow_large`` changes no diagram, so it stays out of
+    the cache key.
     """
     path = None
     if cache_dir is not None:
-        key_src = json.dumps({"d": d, **search, "version": __version__}, sort_keys=True)
+        key_src = json.dumps({"d": d, "engine": engine, "version": __version__}, sort_keys=True)
         key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
         path = cache_dir / f"diagram-d{d}-{key}.json"
         try:
@@ -95,9 +93,9 @@ def _cached_diagram(
             cached = None
         if cached is not None and cached.d == d and len(cached.points) == d * d:
             return cached
-    _resolve_engine(d, TransitionKind.DFT, search["engine"], allow_large)
-    diag = enumerate_diagram(dft_matrix(d), allow_large=allow_large, **search)
-    if path is not None and not diag.unknown_set():
+    _resolve_engine(d, TransitionKind.DFT, engine, allow_large)
+    diag = enumerate_diagram(dft_matrix(d), engine=engine, allow_large=allow_large)
+    if path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         save_diagram(tmp, diag)
@@ -109,12 +107,9 @@ def _cached_diagram(
 def _exit_codes():
     """Map engine disagreements and failed witness sampling to exit 1,
     invalid inputs and unwritable output or cache paths to exit 2, and
-    running out of memory and checks on budget-cut diagrams to exit 3."""
+    running out of memory to exit 3."""
     try:
         yield
-    except IndeterminateDiagramError as exc:
-        click.echo(f"unresolved points: {exc}; raise --max-checks", err=True)
-        sys.exit(EXIT_ABORTED)
     except MemoryError as exc:
         click.echo(f"out of memory: {exc}", err=True)
         sys.exit(EXIT_ABORTED)
@@ -147,7 +142,6 @@ _engine = click.option(
     help=f"Rank engine; auto picks exact for d <= {EXACT_DIMENSION_LIMIT}, numeric above.",
 )
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
-_max_checks = _count("--max-checks", help="Per-point candidate budget.")
 _eps_support = _tolerance("--eps-support", default=DEFAULT_SUPPORT_EPS)
 _eps_classical = _tolerance("--eps-classical", default=DEFAULT_CLASSICALITY_EPS)
 _seed = click.option("--seed", type=int, default=None)
@@ -158,11 +152,6 @@ _cache = click.option(
     default=None,
     help="Directory for reusable diagram enumerations.",
 )
-
-
-def _search_options(fn):
-    """The point-search options, named as the keywords of ``enumerate_diagram``."""
-    return _engine(_max_checks(fn))
 
 
 @click.group()
@@ -176,42 +165,33 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@_search_options
-@click.option("--allow-partial", is_flag=True, default=False)
+@_engine
 @click.option(
     "--allow-large",
     is_flag=True,
     help=f"Lift the size limit d <= {NUMERIC_DIMENSION_LIMIT} of every engine.",
 )
 @_cache
-def cmd_diagram(
-    dim, out, csv_path, svg_path, allow_partial, allow_large, cache_dir, **search
-) -> None:
+def cmd_diagram(dim, out, csv_path, svg_path, engine, allow_large, cache_dir) -> None:
     """Enumerate the uncertainty diagram for one dimension."""
     dims = _parse_dims(dim)
     if dims[0] != dims[-1]:
         raise click.UsageError("diagram takes a single dimension")
     d = dims[0]
     with _exit_codes():
-        diag = _cached_diagram(d, cache_dir, allow_large, **search)
+        diag = _cached_diagram(d, cache_dir, engine, allow_large)
         if out is not None:
             save_diagram(out, diag)
         if csv_path is not None:
             Path(csv_path).write_text(diagram_to_csv(diag), encoding="utf-8")
         if svg_path is not None:
             Path(svg_path).write_text(diagram_svg(diag), encoding="utf-8")
-    n_present = len(diag.present_set())
-    n_hole = len(diag.hole_set())
-    n_unknown = len(diag.unknown_set())
     click.echo(
-        f"d={d} engine={diag.engine} present={n_present} holes={n_hole} "
-        f"unknown={n_unknown} rank_requests={diag.stats.get('rank_requests', 'n/a')}"
+        f"d={d} engine={diag.engine} present={len(diag.present_set())} "
+        f"holes={len(diag.hole_set())} rank_requests={diag.stats.get('rank_requests', 'n/a')}"
     )
     if out is None and csv_path is None and svg_path is None:
         click.echo(diagram_to_csv(diag), nl=False)
-    if n_unknown and not allow_partial:
-        click.echo("unresolved points present; rerun with --allow-partial to accept", err=True)
-        sys.exit(EXIT_ABORTED)
 
 
 @main.command("classify")
@@ -262,17 +242,17 @@ def cmd_classify(state_file, dim, eps_support, eps_classical) -> None:
 @click.option("--d", "dim", type=str, required=True, help="Dimension or range A..B.")
 @_count("--samples", help="Sampled states per dimension.")
 @_count("--pairs", help="Random MUB pairs per dimension (T5).")
-@_search_options
+@_engine
 @_seed
 @_cache
-def cmd_verify(theorem, dim, samples, pairs, seed, cache_dir, **search) -> None:
+def cmd_verify(theorem, dim, samples, pairs, engine, seed, cache_dir) -> None:
     """Check one named prediction or property suite over a dimension range."""
     dims = _parse_dims(dim)
     with _exit_codes():
         rows = verify_suite(
             theorem,
             dims,
-            lambda d: _cached_diagram(d, cache_dir, **search),
+            lambda d: _cached_diagram(d, cache_dir, engine),
             samples=samples,
             pairs=pairs,
             seed=0 if seed is None else seed,
@@ -289,19 +269,16 @@ def cmd_verify(theorem, dim, samples, pairs, seed, cache_dir, **search) -> None:
 @click.argument("n_a", type=int)
 @click.argument("n_b", type=int)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@_search_options
+@_engine
 @_seed
 @_eps_support
 @_eps_classical
-def cmd_witness(dim, n_a, n_b, out, seed, eps_support, eps_classical, **search) -> None:
+def cmd_witness(dim, n_a, n_b, out, engine, seed, eps_support, eps_classical) -> None:
     """Emit a state realizing a Present diagram point."""
     with _exit_codes():
-        _resolve_engine(dim, TransitionKind.DFT, search["engine"], allow_large=False)
+        _resolve_engine(dim, TransitionKind.DFT, engine, allow_large=False)
         u = dft_matrix(dim)
-        point = point_exists(u, n_a, n_b, **search)
-        if point.status is PointStatus.UNKNOWN:
-            click.echo(f"point ({n_a}, {n_b}) unresolved: {point.note}", err=True)
-            sys.exit(EXIT_ABORTED)
+        point = point_exists(u, n_a, n_b, engine=engine)
         if point.status is PointStatus.HOLE:
             click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
             sys.exit(EXIT_MISMATCH)

@@ -19,8 +19,7 @@ a closure that keeps every rank certificate, so both see the same rank
 queries in the same order.
 
 A point is Present with the first certifying candidate in lexicographic
-order, columns outer, or Hole only after every candidate is exhausted; a
-budget can cut a search short, which yields Unknown, never a Hole.  For the
+order, columns outer, or Hole after every candidate is exhausted.  For the
 DFT the conditions are unchanged by T -> T + s and R -> R + s' (unit-root
 rescalings of rows and columns) and by (R, T) -> (a^-1 R, aT) for a unit a
 mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search scans only the
@@ -39,8 +38,7 @@ Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
 same lex order.  The screen computes the uncached base ranks as one stack
-on every engine.  A budget of k candidates screens only the first k, so it
-cuts the scan where a candidate-by-candidate loop would.
+on every engine.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ __all__ = [
     "EngineDisagreementError",
     "ENGINE_BOTH",
     "EXACT_DIMENSION_LIMIT",
-    "IndeterminateDiagramError",
     "NUMERIC_DIMENSION_LIMIT",
     "PointCertificate",
     "PointStatus",
@@ -112,7 +109,6 @@ _WITNESS_TRIES = 64
 class PointStatus(str, Enum):
     PRESENT = "present"
     HOLE = "hole"
-    UNKNOWN = "unknown"
 
 
 class EngineDisagreementError(RuntimeError):
@@ -127,10 +123,6 @@ class EngineDisagreementError(RuntimeError):
         self.cols = tuple(cols)
         self.exact_rank = exact_rank
         self.numeric_rank = numeric_rank
-
-
-class IndeterminateDiagramError(RuntimeError):
-    """The diagram holds Unknown points, so the query has no definite answer."""
 
 
 class WitnessSamplingError(RuntimeError):
@@ -181,9 +173,6 @@ class UncertaintyDiagram:
 
     def hole_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(k for k, p in self.points.items() if p.status is PointStatus.HOLE)
-
-    def unknown_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(k for k, p in self.points.items() if p.status is PointStatus.UNKNOWN)
 
     def row_present(self, n_b: int) -> frozenset[int]:
         """A-support sizes of the Present points on one diagram row."""
@@ -450,13 +439,7 @@ def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
-def _find_point(
-    u: TransitionMatrix,
-    oracle: _RankOracle,
-    n_a: int,
-    n_b: int,
-    max_checks: int | None,
-) -> DiagramPoint:
+def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
@@ -466,15 +449,10 @@ def _find_point(
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
         row_sets = list(combinations(range(d), n_rows))
-    col_sets = _column_representatives(d, n_b) if dft else combinations(range(d), n_b)
+    col_sets = _column_representatives(d, n_b) if dft else list(combinations(range(d), n_b))
     row_masks = [_mask(rows) for rows in row_sets]
-    checks = 0
     for cols in col_sets:
-        batch, masks = row_sets, row_masks
-        if max_checks is not None:
-            left = max(0, max_checks - checks)
-            batch, masks = row_sets[:left], row_masks[:left]
-        for rows, base in zip(batch, oracle.base_ranks(batch, masks, cols)):
+        for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
             if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
                 ok, cert = check_submatrix_conditions(u, rows, cols, engine=oracle.engine)
                 if not ok:
@@ -484,19 +462,11 @@ def _find_point(
                 return DiagramPoint(
                     n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert
                 )
-        if len(batch) < len(row_sets):
-            return DiagramPoint(
-                n_a=n_a,
-                n_b=n_b,
-                status=PointStatus.UNKNOWN,
-                note=f"aborted after {max_checks} candidates",
-            )
-        checks += len(batch)
     return DiagramPoint(
         n_a=n_a,
         n_b=n_b,
         status=PointStatus.HOLE,
-        note=f"exhausted {checks} candidates",
+        note=f"exhausted {len(col_sets) * len(row_sets)} candidates",
     )
 
 
@@ -506,18 +476,17 @@ def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> D
 
     A mirror Hole gives a Hole.  A mirror certificate (R, C) gives rows
     Z_d - C and columns Z_d - R, kept if they pass the audit a searched
-    certificate gets.
+    certificate gets; a complement-swap that fails the audit is searched.
     """
     n_a, n_b = mirror.n_b, mirror.n_a
     if mirror.status is PointStatus.HOLE:
         note = f"mirror of ({mirror.n_a}, {mirror.n_b})"
         return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
-    if mirror.status is PointStatus.PRESENT:
-        rows = set(range(u.d)) - set(mirror.certificate.cols)
-        cols = set(range(u.d)) - set(mirror.certificate.rows)
-        ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
-        if ok:
-            return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert)
+    rows = set(range(u.d)) - set(mirror.certificate.cols)
+    cols = set(range(u.d)) - set(mirror.certificate.rows)
+    ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
+    if ok:
+        return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert)
     return None
 
 
@@ -527,12 +496,11 @@ def point_exists(
     n_b: int,
     *,
     engine: str = "auto",
-    max_checks: int | None = None,
     allow_large: bool = False,
 ) -> DiagramPoint:
     """Decide one lattice point by searching the row/column selections."""
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
-    return _find_point(u, _RankOracle(u, eng), n_a, n_b, max_checks)
+    return _find_point(u, _RankOracle(u, eng), n_a, n_b)
 
 
 def enumerate_diagram(
@@ -540,14 +508,13 @@ def enumerate_diagram(
     *,
     engine: str = "auto",
     sym_reduce: bool = False,
-    max_checks: int | None = None,
     allow_large: bool = False,
 ) -> UncertaintyDiagram:
-    """Assign Present/Hole (or Unknown under a budget) to every lattice point.
+    """Assign Present or Hole to every lattice point.
 
     One rank cache serves the whole run.  A DFT point with n_a > n_b is
     first read off its mirror (n_b, n_a), decided earlier in the loop, and
-    searched only if that fails; a mirrored point spends no budget.
+    searched only if that fails.
     ``sym_reduce`` is ignored, as the DFT search always scans the quotient;
     it stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``.
@@ -560,7 +527,7 @@ def enumerate_diagram(
     for n_a in range(1, u.d + 1):
         for n_b in range(1, u.d + 1):
             mirrored = _mirrored_point(u, eng, points[(n_b, n_a)]) if dft and n_b < n_a else None
-            points[(n_a, n_b)] = mirrored or _find_point(u, oracle, n_a, n_b, max_checks)
+            points[(n_a, n_b)] = mirrored or _find_point(u, oracle, n_a, n_b)
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,
@@ -583,8 +550,6 @@ def is_completely_incompatible(
 ) -> bool:
     """True iff the diagram is exactly the half-plane n_a + n_b >= d + 1."""
     diag = diagram if diagram is not None else enumerate_diagram(u, engine=engine)
-    if diag.unknown_set():
-        raise IndeterminateDiagramError("diagram holds unresolved points")
     return diag.present_set() == predict_corollary1(diag.d).points
 
 

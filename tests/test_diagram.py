@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,6 @@ import pytest
 
 from kduncd import (
     DiagramPoint,
-    IndeterminateDiagramError,
     PointCertificate,
     PointStatus,
     StateVector,
@@ -201,12 +200,6 @@ def test_point_basis_vector_present():
     assert pt.status is PointStatus.PRESENT
 
 
-def test_point_budget_yields_unknown_not_hole():
-    pt = point_exists(dft_matrix(8), 5, 2, max_checks=10)
-    assert pt.status is PointStatus.UNKNOWN
-    assert "aborted" in pt.note
-
-
 # ---------------------------------------------------------------------------
 # whole diagrams
 
@@ -315,8 +308,6 @@ def test_mirrored_point_needs_a_decided_mirror_that_passes_the_audit():
     u = dft_matrix(6)
     hole = _mirrored_point(u, "exact", DiagramPoint(n_a=1, n_b=2, status=PointStatus.HOLE))
     assert hole == DiagramPoint(n_a=2, n_b=1, status=PointStatus.HOLE, note="mirror of (1, 2)")
-    unknown = DiagramPoint(n_a=2, n_b=4, status=PointStatus.UNKNOWN)
-    assert _mirrored_point(u, "exact", unknown) is None
     # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block
     forged = PointCertificate(rows=(0, 1, 2, 3), cols=(0, 1, 2, 3))
     present = DiagramPoint(n_a=2, n_b=4, status=PointStatus.PRESENT, certificate=forged)
@@ -329,6 +320,10 @@ def test_general_matrix_search_scans_every_selection():
     u = random_mub_pair(6, seed=0)
     diag = enumerate_diagram(u, engine="numeric")
     assert _outcomes(diag) == _full_scan(u, "numeric", diag.points)
+    assert diag.hole_set()
+    for n_a, n_b in sorted(diag.hole_set()):
+        n = math.comb(6, 6 - n_a) * math.comb(6, n_b)
+        assert point_exists(u, n_a, n_b, engine="numeric").note == f"exhausted {n} candidates"
 
 
 def test_column_representatives_are_orbit_minima():
@@ -385,35 +380,19 @@ def test_orbit_members_share_key_and_rank(d):
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
-def _scan_order(d, n_a, n_b):
-    """The DFT search's column and row sets for one point, in scan order."""
-    n_rows = d - n_a
-    row_sets = [(0,) + r for r in combinations(range(1, d), n_rows - 1)] if n_rows else [()]
-    return _column_representatives(d, n_b), row_sets
-
-
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
-@pytest.mark.parametrize("d", [6, 7, 8])
-def test_budget_boundaries(d, engine):
-    # a Present point certified by candidate k needs a budget of exactly k,
-    # a Hole with N candidates a budget of exactly N
+@pytest.mark.parametrize("d", range(1, 11))
+def test_searched_holes_count_every_candidate(d, engine, diagram_cache):
+    # a searched DFT Hole screens every row set through 0 on every column
+    # orbit representative; searched one by one, the n_a > n_b holes that
+    # the diagram reads off their mirrors get a count too
     u = dft_matrix(d)
-    for n_a, n_b in product(range(1, d + 1), repeat=2):
+    for n_a, n_b in sorted(diagram_cache(d, engine=engine).hole_set()):
+        n = len(_column_representatives(d, n_b))
+        if n_a < d:
+            n *= math.comb(d - 1, d - n_a - 1)
         point = point_exists(u, n_a, n_b, engine=engine)
-        col_sets, row_sets = _scan_order(d, n_a, n_b)
-        if point.status is PointStatus.PRESENT:
-            cert = point.certificate
-            k = col_sets.index(cert.cols) * len(row_sets) + row_sets.index(cert.rows) + 1
-        else:
-            k = len(col_sets) * len(row_sets)
-        at = point_exists(u, n_a, n_b, engine=engine, max_checks=k)
-        assert (at.status, at.note) == (point.status, point.note), (n_a, n_b)
-        if point.status is PointStatus.PRESENT:
-            assert (at.certificate.rows, at.certificate.cols) == (cert.rows, cert.cols)
-        else:
-            assert point.note == f"exhausted {k} candidates"
-        below = point_exists(u, n_a, n_b, engine=engine, max_checks=k - 1)
-        assert below.status is PointStatus.UNKNOWN, (n_a, n_b)
+        assert (point.status, point.note) == (PointStatus.HOLE, f"exhausted {n} candidates")
 
 
 @pytest.mark.parametrize("d", [9, 10])
@@ -451,7 +430,7 @@ def test_enumerate_rejects_oversized_exact(diagram_cache):
     # one size limit for every engine: exact and both run d=10 without
     # allow_large, every engine refuses d=13, and auto keeps its switch
     for engine in ("exact", "both"):
-        assert not diagram_cache(10, engine=engine).unknown_set()
+        assert diagram_cache(10, engine=engine).engine == engine
     for engine in ("auto", "exact", "numeric", "both"):
         with pytest.raises(ValueError, match="enumeration is limited to d <= 12 by default"):
             enumerate_diagram(dft_matrix(13), engine=engine)
@@ -464,7 +443,6 @@ def test_enumerate_rejects_oversized_exact(diagram_cache):
 def test_engine_agreement_full_d10_enumeration(diagram_cache):
     """Every rank the d=10 enumeration touches agrees across engines."""
     diag = diagram_cache(10, engine="both")
-    assert not diag.unknown_set()
     assert diag.is_symmetric()
 
 
@@ -492,13 +470,6 @@ def test_prime_d13_diagram_engines_agree():
     u = dft_matrix(13)
     diag = enumerate_diagram(u, engine="both", allow_large=True)
     assert is_completely_incompatible(u, diagram=diag)
-
-
-def test_enumerate_budget_marks_unknown():
-    diag = enumerate_diagram(dft_matrix(5), max_checks=2)
-    assert diag.unknown_set()
-    with pytest.raises(IndeterminateDiagramError):
-        is_completely_incompatible(dft_matrix(5), diagram=diag)
 
 
 def test_certificates_revalidate_with_both_engines(diagram_cache):

@@ -19,8 +19,9 @@ def test_star_import_finds_every_exported_name(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_no_exported_callable_takes_a_rank_tolerance(module):
-    """The numeric rank threshold is the fixed ``DEFAULT_RANK_TOL``."""
+def test_no_exported_callable_takes_a_rank_tolerance_or_a_budget(module):
+    """The numeric rank threshold is the fixed ``DEFAULT_RANK_TOL``, and every
+    search runs to a Present or Hole answer."""
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", []):
         obj = getattr(mod, name)
@@ -29,4 +30,4 @@ def test_no_exported_callable_takes_a_rank_tolerance(module):
                 params = inspect.signature(obj).parameters
             except ValueError:  # exception classes have no introspectable signature
                 continue
-            assert not {"tol", "rank_tol"} & set(params), f"{module}.{name}"
+            assert not {"tol", "rank_tol", "max_checks"} & set(params), f"{module}.{name}"
