@@ -18,15 +18,19 @@ the cached rank oracle; the audit of a certifying candidate asks it through
 a closure that keeps every rank certificate, so both see the same rank
 queries in the same order.
 
-A point is Present with the first certifying candidate in lexicographic
-order, columns outer, or Hole after every candidate is exhausted.  For the
-DFT the conditions are unchanged by T -> T + s and R -> R + s' (unit-root
-rescalings of rows and columns) and by (R, T) -> (a^-1 R, aT) for a unit a
-mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search scans only the
-least column set of each orbit under x -> ax + s, and row sets containing
-0.  The full scan's first certifying candidate is among them (a smaller
-member of its column orbit would certify first, and R - min R certifies
-too), and an exhausted quotient rules out every selection.
+A point is Present with the first certifying candidate, columns outer, or
+Hole after every candidate is exhausted.  Selections run in lex order.  For
+the DFT the conditions are unchanged by T -> T + s and R -> R + s'
+(unit-root rescalings of rows and columns) and by (R, T) -> (a^-1 R, aT)
+for a unit a mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search
+scans only the least column set of each orbit under x -> ax + s, and row
+sets containing 0, and an exhausted quotient rules out every selection.
+The orbits keep lex order in the half-plane n_a + n_b >= d + 1.  Below it
+the Present points are Theorem 1's cosets, whose column sets many maps
+x -> ax + s fix, so the orbits run by descending stabilizer size, ties in
+lex order.  The certificate is the full scan's first in the same column
+order (a smaller member of its column orbit would certify first, and
+R - min R certifies too).
 
 The DFT diagram is symmetric, as the conjugate DFT maps a state with
 profile (a, b) to one with profile (b, a).  So ``enumerate_diagram`` reads
@@ -425,21 +429,40 @@ def check_submatrix_conditions(
 
 
 @lru_cache(maxsize=None)
-def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
+def _column_orbits(d: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Least member of each orbit of ``size``-subsets of Z_d under x -> ax + s,
-    in lex order: the first member met marks its whole orbit as seen."""
+    in lex order, with the number of maps that fix it, |maps| / |orbit|: the
+    first member met marks its whole orbit as seen."""
     units = [a for a in range(d) if math.gcd(a, d) == 1]
     maps = [[(a * x + s) % d for x in range(d)] for a in units for s in range(d)]
     seen: set[int] = set()
-    reps = []
+    orbits = []
     for cols in combinations(range(d), size):
         if _mask(cols) not in seen:
-            reps.append(cols)
-            seen.update(_mask(m[x] for x in cols) for m in maps)
-    return tuple(reps)
+            orbit = {_mask(m[x] for x in cols) for m in maps}
+            orbits.append((cols, len(maps) // len(orbit)))
+            seen |= orbit
+    return tuple(orbits)
+
+
+@lru_cache(maxsize=None)
+def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The orbit representatives of ``_column_orbits``, in lex order."""
+    return tuple(cols for cols, _ in _column_orbits(d, size))
+
+
+@lru_cache(maxsize=None)
+def _structured_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The orbit representatives by descending stabilizer size, ties in lex
+    order: the order a DFT point below the half-plane scans."""
+    by_stabilizer = sorted(_column_orbits(d, size), key=lambda orbit: -orbit[1])
+    return tuple(cols for cols, _ in by_stabilizer)
 
 
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
+    """Present with the first certifying candidate, columns outer, or Hole.
+    Column sets run in lex order, or by descending stabilizer size at a DFT
+    point below the half-plane (n_a + n_b <= d)."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
@@ -449,7 +472,12 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
         row_sets = list(combinations(range(d), n_rows))
-    col_sets = _column_representatives(d, n_b) if dft else list(combinations(range(d), n_b))
+    if not dft:
+        col_sets = list(combinations(range(d), n_b))
+    elif n_a + n_b <= d:
+        col_sets = _structured_representatives(d, n_b)
+    else:
+        col_sets = _column_representatives(d, n_b)
     row_masks = [_mask(rows) for rows in row_sets]
     for cols in col_sets:
         for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
