@@ -1,4 +1,4 @@
-"""Uncertainty-diagram membership by exhaustive rank-condition search.
+"""Uncertainty-diagram membership by rank-condition search.
 
 A point (n_a, n_b) is achievable exactly when some submatrix M of the
 transition matrix, built from d - n_a rows and n_b columns, satisfies
@@ -25,12 +25,15 @@ the DFT the conditions are unchanged by T -> T + s and R -> R + s'
 for a unit a mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search
 scans only the least column set of each orbit under x -> ax + s, and row
 sets containing 0, and an exhausted quotient rules out every selection.
-The orbits keep lex order in the half-plane n_a + n_b >= d + 1.  Below it
-the Present points are Theorem 1's cosets, whose column sets many maps
-x -> ax + s fix, so the orbits run by descending stabilizer size, ties in
-lex order.  The certificate is the full scan's first in the same column
-order (a smaller member of its column orbit would certify first, and
-R - min R certifies too).
+The orbits keep lex order in the half-plane n_a + n_b >= d + 1, where a
+point with n_a <= n_b is searched only if its first candidate, the closed
+form rows {0, ..., d - n_a - 1} and columns {0, ..., n_b - 1}, fails the
+audit: each of its row subsets is a Vandermonde block in distinct nodes w^r,
+so (i)-(iii) hold (the paper's Corollary 1).  Below it the Present points
+are Theorem 1's cosets, whose column sets many maps x -> ax + s fix, so the
+orbits run by descending stabilizer size, ties in lex order.  The
+certificate is the full scan's first in the same column order (a smaller
+member of its column orbit would certify first, and R - min R certifies too).
 
 The DFT diagram is symmetric, as the conjugate DFT maps a state with
 profile (a, b) to one with profile (b, a).  So ``enumerate_diagram`` reads
@@ -53,7 +56,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable
@@ -220,10 +223,10 @@ class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
     The cache key packs the row and column bitmasks into one int.  For the
-    DFT each mask is first replaced by its least cyclic rotation and the pair
-    put in order: shifting rows by s rescales the columns by unit roots,
-    shifting columns rescales rows, and the matrix is symmetric, so all
-    members of an orbit share one rank.
+    DFT each mask is first replaced by its least cyclic rotation, from a
+    table built on the first key, and the pair put in order: shifting rows
+    by s rescales the columns by unit roots, shifting columns rescales rows,
+    and the matrix is symmetric, so all members of an orbit share one rank.
 
     ``base_ranks`` answers one column set against many row sets and computes
     the ranks it lacks as one stack, on every engine; ``rank_of`` is its
@@ -236,8 +239,12 @@ class _RankOracle:
         self.requests = 0
         self.computed = 0
         self._ranks: dict[int, int] = {}
-        self._least = _least_rotations(u.d) if u.kind is TransitionKind.DFT else None
+        self._dft = u.kind is TransitionKind.DFT
         self._numeric = u.numeric
+
+    @cached_property
+    def _least(self) -> tuple[int, ...] | None:
+        return _least_rotations(self.d) if self._dft else None
 
     def _keys(self, row_masks, cmask: int) -> list[int]:
         d = self.d
@@ -462,12 +469,18 @@ def _structured_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
     """Present with the first certifying candidate, columns outer, or Hole.
     Column sets run in lex order, or by descending stabilizer size at a DFT
-    point below the half-plane (n_a + n_b <= d)."""
+    point below the half-plane (n_a + n_b <= d).  Above it a point with
+    n_a <= n_b first audits rows range(d - n_a) by columns range(n_b), whose
+    row subsets are full-rank Vandermonde blocks, and is searched if that fails."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
     dft = u.kind is TransitionKind.DFT
+    if dft and n_a <= n_b and n_a + n_b > d:
+        point = _audited_point(u, oracle.engine, n_a, n_b, range(n_rows), range(n_b))
+        if point is not None:
+            return point
     if dft and n_rows:
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
@@ -482,14 +495,12 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     for cols in col_sets:
         for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
             if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
-                ok, cert = check_submatrix_conditions(u, rows, cols, engine=oracle.engine)
-                if not ok:
+                point = _audited_point(u, oracle.engine, n_a, n_b, rows, cols)
+                if point is None:
                     raise RuntimeError(
                         "search and audit paths disagree on a certifying candidate"
                     )
-                return DiagramPoint(
-                    n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert
-                )
+                return point
     return DiagramPoint(
         n_a=n_a,
         n_b=n_b,
@@ -512,10 +523,13 @@ def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> D
         return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
     rows = set(range(u.d)) - set(mirror.certificate.cols)
     cols = set(range(u.d)) - set(mirror.certificate.rows)
+    return _audited_point(u, engine, n_a, n_b, rows, cols)
+
+
+def _audited_point(u: TransitionMatrix, engine: str, n_a, n_b, rows, cols) -> DiagramPoint | None:
+    """Present with the selection (rows, cols) if it passes the audit, else None."""
     ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
-    if ok:
-        return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.PRESENT, certificate=cert)
-    return None
+    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, cert) if ok else None
 
 
 def point_exists(
@@ -526,7 +540,7 @@ def point_exists(
     engine: str = "auto",
     allow_large: bool = False,
 ) -> DiagramPoint:
-    """Decide one lattice point by searching the row/column selections."""
+    """Decide one lattice point as ``enumerate_diagram`` does, mirrors aside."""
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
     return _find_point(u, _RankOracle(u, eng), n_a, n_b)
 

@@ -4,7 +4,8 @@ sampling-based classification checks.
 Each suite returns one row per dimension.  ``passed`` is True/False for a
 binding comparison and None for an informational one (a prediction applied
 outside its stated hypotheses is reported but does not gate).  T4 samples
-and checks each certified point's witness states as one numpy block.
+and checks each certified point's witness states as one numpy block.  C1 on
+the DFT reads the audited closed-form certificates, not searched ones.
 """
 
 from __future__ import annotations

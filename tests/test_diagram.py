@@ -34,11 +34,13 @@ from kduncd import (
     support_profile,
     witness_state,
 )
+from kduncd import diagram
 from kduncd.diagram import (
     _WITNESS_TRIES,
     _column_representatives,
     _conditions_hold,
     _dft_block,
+    _find_point,
     _least_rotations,
     _mask,
     _mirrored_point,
@@ -392,6 +394,60 @@ def test_least_rotations_match_brute_force(d):
         assert table[mask] == min(_mask((x + s) % d for x in members) for s in range(d))
 
 
+@pytest.mark.parametrize(
+    "d, engine",
+    [(d, engine) for d in range(1, 13) for engine in ("exact", "numeric")]
+    + [(d, "exact") for d in range(13, 17)],
+)
+def test_half_plane_points_take_the_closed_form_unsearched(d, engine):
+    # at n_a <= n_b on or above n_a + n_b = d + 1, rows range(d - n_a) and
+    # columns range(n_b) span Vandermonde blocks in distinct nodes w^r: the
+    # audit certifies them before the oracle is asked for any rank
+    u = dft_matrix(d)
+    for n_a in range(1, d + 1):
+        for n_b in range(max(n_a, d + 1 - n_a), d + 1):
+            oracle = _RankOracle(u, engine)
+            point = _find_point(u, oracle, n_a, n_b)
+            assert point.status is PointStatus.PRESENT, (n_a, n_b)
+            cert = point.certificate
+            assert (cert.rows, cert.cols) == (tuple(range(d - n_a)), tuple(range(n_b)))
+            assert oracle.requests == 0, (n_a, n_b)
+
+
+def test_failed_closed_form_audit_falls_back_to_the_search(monkeypatch):
+    u = dft_matrix(8)
+    searched = {}
+    for n_a, n_b in [(1, 8), (3, 6), (4, 5), (4, 8)]:
+        oracle = _RankOracle(u, "exact")
+        searched[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b)
+        assert oracle.requests == 0
+    audit = diagram.check_submatrix_conditions
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        ok, cert = audit(*args, **kwargs)
+        calls.append(ok)
+        return ok and len(calls) > 1, cert
+
+    monkeypatch.setattr(diagram, "check_submatrix_conditions", fails_once)
+    for (n_a, n_b), expected in searched.items():
+        calls.clear()
+        oracle = _RankOracle(u, "exact")
+        assert _find_point(u, oracle, n_a, n_b) == expected
+        assert calls == [True, True]
+        assert oracle.requests > 0
+
+
+def test_closed_form_point_builds_no_rotation_table():
+    _least_rotations.cache_clear()
+    point = point_exists(dft_matrix(13), 5, 10, engine="exact", allow_large=True)
+    assert point.status is PointStatus.PRESENT
+    assert _least_rotations.cache_info().currsize == 0
+    # a searched point builds it on its first rank request
+    assert point_exists(dft_matrix(6), 2, 3).status is PointStatus.PRESENT
+    assert _least_rotations.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 def test_orbit_members_share_key_and_rank(d):
     # every row shift, every column shift and the transpose of a selection
@@ -456,7 +512,7 @@ def test_engines_share_rank_counters(d, diagram_cache):
         for engine in ("numeric", "exact", "both")
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
-    pinned = {8: (1587, 259), 9: (2919, 479), 10: (9023, 1306)}
+    pinned = {8: (955, 156), 9: (1668, 264), 10: (6537, 911)}
     if d in pinned:
         stats = counters["exact"]
         assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]
