@@ -19,27 +19,27 @@ a closure that keeps every rank certificate, so both see the same rank
 queries in the same order.
 
 A point is Present with the first certifying candidate, columns outer, or
-Hole after every candidate is exhausted.  Selections run in lex order.  For
-the DFT the conditions are unchanged by T -> T + s and R -> R + s'
-(unit-root rescalings of rows and columns) and by (R, T) -> (a^-1 R, aT)
-for a unit a mod d, since U[a^-1 i, a j] = U[i, j].  So the DFT search
-scans only the least column set of each orbit under x -> ax + s, and row
-sets containing 0, and an exhausted quotient rules out every selection.
-The orbits keep lex order in the half-plane n_a + n_b >= d + 1, where a
-point with n_a <= n_b is searched only if its first candidate, the closed
-form rows {0, ..., d - n_a - 1} and columns {0, ..., n_b - 1}, fails the
-audit: each of its row subsets is a Vandermonde block in distinct nodes w^r,
-so (i)-(iii) hold (the paper's Corollary 1).  Below it the Present points
-are Theorem 1's cosets, whose column sets many maps x -> ax + s fix, so the
-orbits run by descending stabilizer size, ties in lex order.  The
-certificate is the full scan's first in the same column order (a smaller
-member of its column orbit would certify first, and R - min R certifies too).
+Hole after every candidate is exhausted; other matrices scan every
+selection in lex order.  For the DFT the conditions are unchanged by
+T -> T + s and R -> R + s' (unit-root rescalings of rows and columns) and
+by (R, T) -> (a^-1 R, aT) for a unit a mod d, as U[a^-1 i, a j] = U[i, j].
+So the DFT search scans the least column set of each orbit under
+x -> ax + s, by descending stabilizer size, ties in lex order, and row sets
+containing 0 in lex order; an exhausted quotient rules out every selection.
+Below the half-plane n_a + n_b >= d + 1 the Present points are Theorem 1's
+cosets, whose column sets many maps fix, and the certificate is the full
+scan's first in the same column order (a smaller member of its column orbit
+would certify first, and R - min R certifies too).  In the half-plane the
+search runs only if the closed form, rows {0, ..., d - n_a - 1} and columns
+{0, ..., n_b - 1}, fails the audit: any rows on those columns and, as U is
+symmetric, any columns on those rows form Vandermonde blocks in distinct
+nodes, so (i)-(iii) hold (the paper's Corollary 1).
 
 The DFT diagram is symmetric, as the conjugate DFT maps a state with
 profile (a, b) to one with profile (b, a).  So ``enumerate_diagram`` reads
 each point with n_a > n_b off its mirror (n_b, n_a), decided earlier
 (``_mirrored_point``); such a point's certificate is the complement-swap of
-its mirror's, not the full scan's first candidate.
+its mirror's, not the closed form or the full scan's first candidate.
 
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
@@ -265,9 +265,7 @@ class _RankOracle:
             ranks = _exact_block_ranks(self.d, [(rows, cols) for rows in row_sets])[0]
         if self.engine == ENGINE_BOTH:
             numeric = _numeric_block_ranks(self._numeric, row_sets, cols)
-            for rows, r, rn in zip(row_sets, ranks, numeric):
-                if r != rn:
-                    raise EngineDisagreementError(rows, cols, r, rn)
+            _check_agreement(((rows, cols) for rows in row_sets), ranks, numeric)
         return ranks
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
@@ -304,6 +302,13 @@ def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
     exps = (rows[:, :, None] * cols[:, None, :] % d)[..., None]
     ranks, pivots = _exact_rank_int(exps, live, d, k**k)
     return ranks.tolist(), pivots
+
+
+def _check_agreement(blocks, exact: list[int], numeric: list[int]) -> None:
+    """Raise on the first block (rows, cols), in order, where the engines differ."""
+    for (rows, cols), r, rn in zip(blocks, exact, numeric):
+        if r != rn:
+            raise EngineDisagreementError(rows, cols, r, rn)
 
 
 def _numeric_block_ranks(numeric: np.ndarray, row_sets, cols) -> list[int]:
@@ -393,7 +398,8 @@ def check_submatrix_conditions(
     the verdict together with the certificates read in the order of
     ``_conditions_hold``, so on failure they stop at the first violated
     condition.  ``rows`` may be empty, which encodes the full-A-support
-    case.  Engine ``both`` audits on the exact engine.
+    case.  Engine ``both`` keeps the exact certificates, after raising on the
+    first block whose numeric rank differs.
     """
     d = u.d
     rows = tuple(sorted(int(r) for r in rows))
@@ -404,20 +410,22 @@ def check_submatrix_conditions(
         raise ValueError("row index out of range")
     if not cols or cols[0] < 0 or cols[-1] >= d:
         raise ValueError("column selection must be a nonempty subset of the index range")
-    exact = _resolve_engine(d, u.kind, engine, allow_large=True) != ENGINE_NUMERIC
+    eng = _resolve_engine(d, u.kind, engine, allow_large=True)
     outside = [k for k in range(d) if k not in rows]
     blocks = [(rows, cols)]
     blocks += [(_insert_sorted(rows, k), cols) for k in outside]
     blocks += [(rows, cols[:i] + cols[i + 1 :]) for i in range(len(cols))]
-    if exact:
+    if eng != ENGINE_EXACT:  # one SVD stack per block shape, each with its own threshold
+        numeric = []
+        for _, group in groupby(blocks, key=lambda b: (len(b[0]), len(b[1]))):
+            numeric += _numeric_block_ranks(u.numeric, *zip(*group))
+        found = [RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in numeric]
+    if eng != ENGINE_NUMERIC:
         ranks, pivots = _exact_block_ranks(d, blocks)
+        if eng == ENGINE_BOTH:
+            _check_agreement(blocks, ranks, numeric)
         pairs = map(_pivot_pairs, pivots)
         found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
-    else:  # one SVD stack per block shape, each with its own threshold
-        ranks = []
-        for _, group in groupby(blocks, key=lambda b: (len(b[0]), len(b[1]))):
-            ranks += _numeric_block_ranks(u.numeric, *zip(*group))
-        found = [RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in ranks]
     table = dict(zip(blocks, found))
     certs: list[RankCertificate] = []
 
@@ -436,10 +444,10 @@ def check_submatrix_conditions(
 
 
 @lru_cache(maxsize=None)
-def _column_orbits(d: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Least member of each orbit of ``size``-subsets of Z_d under x -> ax + s,
-    in lex order, with the number of maps that fix it, |maps| / |orbit|: the
-    first member met marks its whole orbit as seen."""
+def _column_orbits(d: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Least member of each orbit of ``size``-subsets of Z_d under x -> ax + s
+    (the first member met marks its whole orbit as seen), in the DFT search's
+    order: by descending number of maps that fix it, |maps| / |orbit|, then lex."""
     units = [a for a in range(d) if math.gcd(a, d) == 1]
     maps = [[(a * x + s) % d for x in range(d)] for a in units for s in range(d)]
     seen: set[int] = set()
@@ -447,37 +455,23 @@ def _column_orbits(d: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]
     for cols in combinations(range(d), size):
         if _mask(cols) not in seen:
             orbit = {_mask(m[x] for x in cols) for m in maps}
-            orbits.append((cols, len(maps) // len(orbit)))
+            orbits.append((len(orbit), cols))
             seen |= orbit
-    return tuple(orbits)
-
-
-@lru_cache(maxsize=None)
-def _column_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """The orbit representatives of ``_column_orbits``, in lex order."""
-    return tuple(cols for cols, _ in _column_orbits(d, size))
-
-
-@lru_cache(maxsize=None)
-def _structured_representatives(d: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """The orbit representatives by descending stabilizer size, ties in lex
-    order: the order a DFT point below the half-plane scans."""
-    by_stabilizer = sorted(_column_orbits(d, size), key=lambda orbit: -orbit[1])
-    return tuple(cols for cols, _ in by_stabilizer)
+    return tuple(cols for _, cols in sorted(orbits))
 
 
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
     """Present with the first certifying candidate, columns outer, or Hole.
-    Column sets run in lex order, or by descending stabilizer size at a DFT
-    point below the half-plane (n_a + n_b <= d).  Above it a point with
-    n_a <= n_b first audits rows range(d - n_a) by columns range(n_b), whose
-    row subsets are full-rank Vandermonde blocks, and is searched if that fails."""
+    A DFT point in the half-plane (n_a + n_b > d) first audits rows
+    range(d - n_a) by columns range(n_b) (any rows on those columns, or columns
+    on those rows, span full-rank Vandermonde blocks) and is searched only if
+    that fails.  DFT column sets run in ``_column_orbits`` order, others in lex."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
     dft = u.kind is TransitionKind.DFT
-    if dft and n_a <= n_b and n_a + n_b > d:
+    if dft and n_a + n_b > d:
         point = _audited_point(u, oracle.engine, n_a, n_b, range(n_rows), range(n_b))
         if point is not None:
             return point
@@ -485,12 +479,7 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
         row_sets = list(combinations(range(d), n_rows))
-    if not dft:
-        col_sets = list(combinations(range(d), n_b))
-    elif n_a + n_b <= d:
-        col_sets = _structured_representatives(d, n_b)
-    else:
-        col_sets = _column_representatives(d, n_b)
+    col_sets = _column_orbits(d, n_b) if dft else list(combinations(range(d), n_b))
     row_masks = [_mask(rows) for rows in row_sets]
     for cols in col_sets:
         for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
@@ -501,12 +490,8 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
                         "search and audit paths disagree on a certifying candidate"
                     )
                 return point
-    return DiagramPoint(
-        n_a=n_a,
-        n_b=n_b,
-        status=PointStatus.HOLE,
-        note=f"exhausted {len(col_sets) * len(row_sets)} candidates",
-    )
+    note = f"exhausted {len(col_sets) * len(row_sets)} candidates"
+    return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 
 
 def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> DiagramPoint | None:

@@ -9,6 +9,7 @@ import pytest
 
 from kduncd import (
     DiagramPoint,
+    EngineDisagreementError,
     PointCertificate,
     PointStatus,
     StateVector,
@@ -37,7 +38,7 @@ from kduncd import (
 from kduncd import diagram
 from kduncd.diagram import (
     _WITNESS_TRIES,
-    _column_representatives,
+    _column_orbits,
     _conditions_hold,
     _dft_block,
     _find_point,
@@ -46,7 +47,6 @@ from kduncd.diagram import (
     _mirrored_point,
     _RankOracle,
     _resolve_engine,
-    _structured_representatives,
     _witness_block,
 )
 
@@ -240,28 +240,36 @@ def _stabilizer(d, cols):
     return sum({(a * x + s) % d for x in cols} == set(cols) for a in units for s in range(d))
 
 
+def _by_stabilizer(d, col_sets):
+    """``col_sets`` by descending stabilizer size, ties in their given order."""
+    return sorted(col_sets, key=lambda cols: -_stabilizer(d, cols))
+
+
+def _first_candidate(oracle, d, n_a, col_sets):
+    """First (rows, cols) that meets (i)-(iii), columns outer in the order of
+    ``col_sets``, rows in lex order, or None."""
+    for cols in col_sets:
+        for rows in combinations(range(d), d - n_a):
+            if _conditions_hold(oracle.rank_of, d, rows, cols):
+                return rows, cols
+    return None
+
+
 def _full_scan(u, engine, points):
     """Status and first certifying (rows, cols) of each point, found by
-    scanning every selection in lexicographic order, columns outer.  At a
-    DFT point below the half-plane (n_a + n_b <= d) the column sets run by
-    descending stabilizer size, then lex, as the search's orbits do."""
+    scanning every selection, columns outer, in lex order.  At a DFT point
+    below the half-plane (n_a + n_b <= d) the column sets run by descending
+    stabilizer size, then lex, as the search's orbits do; in the half-plane
+    the lex scan's first candidate is the search's closed form."""
     d = u.d
     oracle = _RankOracle(u, engine)
     found = {}
     for n_a, n_b in points:
-        found[(n_a, n_b)] = (PointStatus.HOLE, None)
         col_sets = list(combinations(range(d), n_b))
         if u.kind is TransitionKind.DFT and n_a + n_b <= d:
-            col_sets.sort(key=lambda cols: -_stabilizer(d, cols))
-        for cols in col_sets:
-            rows = next(
-                (r for r in combinations(range(d), d - n_a)
-                 if _conditions_hold(oracle.rank_of, d, r, cols)),
-                None,
-            )
-            if rows is not None:
-                found[(n_a, n_b)] = (PointStatus.PRESENT, (rows, cols))
-                break
+            col_sets = _by_stabilizer(d, col_sets)
+        first = _first_candidate(oracle, d, n_a, col_sets)
+        found[(n_a, n_b)] = (PointStatus.HOLE if first is None else PointStatus.PRESENT, first)
     return found
 
 
@@ -340,35 +348,23 @@ def test_general_matrix_search_scans_every_selection():
         assert point_exists(u, n_a, n_b, engine="numeric").note == f"exhausted {n} candidates"
 
 
-def test_column_representatives_are_orbit_minima():
-    # pairs of Z_8 up to x -> ax + s are classed by their difference up to
-    # sign and units: 1, 2 or 4
-    assert _column_representatives(8, 2) == ((0, 1), (0, 2), (0, 4))
-    for d in range(1, 9):
-        units = [a for a in range(d) if math.gcd(a, d) == 1]
-        for size in range(d + 1):
-            reps = _column_representatives(d, size)
-            assert list(reps) == sorted(reps)
-            orbit_min = {
-                cols: min(
-                    tuple(sorted((a * x + s) % d for x in cols))
-                    for a in units
-                    for s in range(d)
-                )
-                for cols in combinations(range(d), size)
-            }
-            assert set(reps) == set(orbit_min.values())
-
-
 @pytest.mark.parametrize("d", range(1, 11))
 def test_structured_representatives_sort_by_stabilizer_then_lex(d):
-    # the same orbit representatives, the most symmetric first: stabilizer
-    # sizes recounted over every affine map never increase, ties in lex order
+    # _column_orbits gives the least member of each orbit under x -> ax + s,
+    # the most symmetric first: stabilizer sizes recounted over every affine
+    # map never increase, ties in lex order.  Pairs of Z_8 are classed by
+    # their difference up to sign and units: 4, 2 or 1, fixed by 8, 4 and 2 maps
     if d == 8:
-        assert _structured_representatives(8, 4)[:2] == ((0, 2, 4, 6), (0, 1, 4, 5))
+        assert _column_orbits(8, 2) == ((0, 4), (0, 2), (0, 1))
+        assert _column_orbits(8, 4)[:2] == ((0, 2, 4, 6), (0, 1, 4, 5))
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
     for size in range(d + 1):
-        order = _structured_representatives(d, size)
-        assert sorted(order) == list(_column_representatives(d, size))
+        order = _column_orbits(d, size)
+        orbit_minima = {
+            min(tuple(sorted((a * x + s) % d for x in cols)) for a in units for s in range(d))
+            for cols in combinations(range(d), size)
+        }
+        assert sorted(order) == sorted(orbit_minima)
         keys = [(-_stabilizer(d, cols), cols) for cols in order]
         assert keys == sorted(keys)
 
@@ -400,12 +396,13 @@ def test_least_rotations_match_brute_force(d):
     + [(d, "exact") for d in range(13, 17)],
 )
 def test_half_plane_points_take_the_closed_form_unsearched(d, engine):
-    # at n_a <= n_b on or above n_a + n_b = d + 1, rows range(d - n_a) and
-    # columns range(n_b) span Vandermonde blocks in distinct nodes w^r: the
-    # audit certifies them before the oracle is asked for any rank
+    # on or above n_a + n_b = d + 1, any rows on columns range(n_b) and any
+    # columns on rows range(d - n_a) span Vandermonde blocks in distinct
+    # nodes: the audit certifies the selection before the oracle is asked for
+    # any rank, on either side of the diagonal
     u = dft_matrix(d)
     for n_a in range(1, d + 1):
-        for n_b in range(max(n_a, d + 1 - n_a), d + 1):
+        for n_b in range(d + 1 - n_a, d + 1):
             oracle = _RankOracle(u, engine)
             point = _find_point(u, oracle, n_a, n_b)
             assert point.status is PointStatus.PRESENT, (n_a, n_b)
@@ -414,13 +411,32 @@ def test_half_plane_points_take_the_closed_form_unsearched(d, engine):
             assert oracle.requests == 0, (n_a, n_b)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_point_search_above_the_diagonal_gives_the_lex_first_certificate(d):
+    # n_a > n_b half-plane points take the closed form, the full lex scan's
+    # first candidate, so point_exists and witness keep their certificates
+    u = dft_matrix(d)
+    points = [(a, b) for a in range(1, d + 1) for b in range(d + 1 - a, a)]
+    for (a, b), (status, selection) in _full_scan(u, "exact", points).items():
+        point = point_exists(u, a, b)
+        cert = point.certificate
+        assert (point.status, (cert.rows, cert.cols)) == (status, selection), (a, b)
+
+
 def test_failed_closed_form_audit_falls_back_to_the_search(monkeypatch):
+    # the search behind a failed closed form scans the one column order, so
+    # it returns the first candidate of the full scan by stabilizer size
     u = dft_matrix(8)
     searched = {}
-    for n_a, n_b in [(1, 8), (3, 6), (4, 5), (4, 8)]:
+    for n_a, n_b in [(1, 8), (3, 6), (4, 5), (4, 8), (6, 3)]:
         oracle = _RankOracle(u, "exact")
-        searched[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b)
+        assert _find_point(u, oracle, n_a, n_b).status is PointStatus.PRESENT
         assert oracle.requests == 0
+        col_sets = _by_stabilizer(8, combinations(range(8), n_b))
+        searched[(n_a, n_b)] = _first_candidate(oracle, 8, n_a, col_sets)
+    # {0, 2, 4}, which 4 maps fix, comes before the closed form's {0, 1, 2},
+    # which 2 fix
+    assert searched[(6, 3)] == ((0, 4), (0, 2, 4))
     audit = diagram.check_submatrix_conditions
     calls = []
 
@@ -433,9 +449,29 @@ def test_failed_closed_form_audit_falls_back_to_the_search(monkeypatch):
     for (n_a, n_b), expected in searched.items():
         calls.clear()
         oracle = _RankOracle(u, "exact")
-        assert _find_point(u, oracle, n_a, n_b) == expected
+        point = _find_point(u, oracle, n_a, n_b)
+        assert point.status is PointStatus.PRESENT
+        assert (point.certificate.rows, point.certificate.cols) == expected, (n_a, n_b)
         assert calls == [True, True]
         assert oracle.requests > 0
+
+
+def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
+    # a closed-form point asks the rank oracle for nothing, so on engine
+    # "both" only the audit compares the engines there
+    u = dft_matrix(6)
+    assert point_exists(u, 5, 2, engine="both").status is PointStatus.PRESENT
+    numeric = diagram._numeric_block_ranks
+    monkeypatch.setattr(
+        diagram, "_numeric_block_ranks", lambda *args: [r + 1 for r in numeric(*args)]
+    )
+    for n_a, n_b in [(2, 5), (5, 2)]:
+        with pytest.raises(EngineDisagreementError) as exc:
+            point_exists(u, n_a, n_b, engine="both")
+        assert (exc.value.rows, exc.value.cols) == (tuple(range(6 - n_a)), tuple(range(n_b)))
+        assert exc.value.numeric_rank == exc.value.exact_rank + 1 == 7 - n_a
+    # the exact engine alone asks for no numeric rank
+    assert point_exists(u, 5, 2, engine="exact").status is PointStatus.PRESENT
 
 
 def test_closed_form_point_builds_no_rotation_table():
@@ -480,7 +516,7 @@ def test_searched_holes_count_every_candidate(d, engine, diagram_cache):
     # the diagram reads off their mirrors get a count too
     u = dft_matrix(d)
     for n_a, n_b in sorted(diagram_cache(d, engine=engine).hole_set()):
-        n = len(_column_representatives(d, n_b))
+        n = len(_column_orbits(d, n_b))
         if n_a < d:
             n *= math.comb(d - 1, d - n_a - 1)
         point = point_exists(u, n_a, n_b, engine=engine)

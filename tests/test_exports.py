@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +32,12 @@ def test_no_exported_callable_takes_a_rank_tolerance_or_a_budget(module):
             except ValueError:  # exception classes have no introspectable signature
                 continue
             assert not {"tol", "rank_tol", "max_checks"} & set(params), f"{module}.{name}"
+
+
+def test_pyproject_version_is_the_package_version():
+    """The ``--cache`` key reads ``kduncd.__version__``; the distribution's
+    version must not drift from it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == kduncd.__version__
