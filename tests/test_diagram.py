@@ -348,12 +348,26 @@ def test_general_matrix_search_scans_every_selection():
         assert point_exists(u, n_a, n_b, engine="numeric").note == f"exhausted {n} candidates"
 
 
+def test_column_representatives_are_orbit_minima():
+    # _column_orbits gives the least member of each orbit under x -> ax + s.
+    # Pairs of Z_8 are classed by their difference up to sign and units:
+    # 1, 2 or 4
+    assert sorted(_column_orbits(8, 2)) == [(0, 1), (0, 2), (0, 4)]
+    for d in range(1, 9):
+        units = [a for a in range(d) if math.gcd(a, d) == 1]
+        for size in range(d + 1):
+            orbit_minima = {
+                min(tuple(sorted((a * x + s) % d for x in cols)) for a in units for s in range(d))
+                for cols in combinations(range(d), size)
+            }
+            assert sorted(_column_orbits(d, size)) == sorted(orbit_minima)
+
+
 @pytest.mark.parametrize("d", range(1, 11))
 def test_structured_representatives_sort_by_stabilizer_then_lex(d):
-    # _column_orbits gives the least member of each orbit under x -> ax + s,
-    # the most symmetric first: stabilizer sizes recounted over every affine
-    # map never increase, ties in lex order.  Pairs of Z_8 are classed by
-    # their difference up to sign and units: 4, 2 or 1, fixed by 8, 4 and 2 maps
+    # the orbit representatives, the most symmetric first: stabilizer sizes
+    # recounted over every affine map never increase, ties in lex order.
+    # The pairs of Z_8 with difference 4, 2 or 1 are fixed by 8, 4 and 2 maps
     if d == 8:
         assert _column_orbits(8, 2) == ((0, 4), (0, 2), (0, 1))
         assert _column_orbits(8, 4)[:2] == ((0, 2, 4, 6), (0, 1, 4, 5))
