@@ -20,7 +20,6 @@ import click
 
 from . import __version__
 from .diagram import (
-    EXACT_DIMENSION_LIMIT,
     NUMERIC_DIMENSION_LIMIT,
     EngineDisagreementError,
     PointStatus,
@@ -139,7 +138,7 @@ _engine = click.option(
     type=click.Choice(["auto", "exact", "numeric", "both"]),
     default="auto",
     show_default=True,
-    help=f"Rank engine; auto picks exact for d <= {EXACT_DIMENSION_LIMIT}, numeric above.",
+    help="Rank engine; auto picks exact at every d.",
 )
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
 _eps_support = _tolerance("--eps-support", default=DEFAULT_SUPPORT_EPS)

@@ -29,17 +29,20 @@ containing 0 in lex order; an exhausted quotient rules out every selection.
 Below the half-plane n_a + n_b >= d + 1 the Present points are Theorem 1's
 cosets, whose column sets many maps fix, and the certificate is the full
 scan's first in the same column order (a smaller member of its column orbit
-would certify first, and R - min R certifies too).  In the half-plane the
-search runs only if the closed form, rows {0, ..., d - n_a - 1} and columns
-{0, ..., n_b - 1}, fails the audit: any rows on those columns and, as U is
-symmetric, any columns on those rows form Vandermonde blocks in distinct
-nodes, so (i)-(iii) hold (the paper's Corollary 1).
+would certify first, and R - min R certifies too).  The half-plane is not
+searched: rows {0, ..., d - n_a - 1} and columns {0, ..., n_b - 1} certify
+it, as any rows on those columns and, U being symmetric, any columns on
+those rows form Vandermonde blocks in distinct nodes, so (i)-(iii) hold
+(the paper's Corollary 1).
 
 The DFT diagram is symmetric, as the conjugate DFT maps a state with
 profile (a, b) to one with profile (b, a).  So ``enumerate_diagram`` reads
 each point with n_a > n_b off its mirror (n_b, n_a), decided earlier
 (``_mirrored_point``); such a point's certificate is the complement-swap of
 its mirror's, not the closed form or the full scan's first candidate.
+
+Every certificate is audited on the run's engine, and one that fails raises;
+on the exact engine, which ``auto`` picks for the DFT at every d, none can.
 
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
@@ -81,7 +84,6 @@ __all__ = [
     "DiagramPoint",
     "EngineDisagreementError",
     "ENGINE_BOTH",
-    "EXACT_DIMENSION_LIMIT",
     "NUMERIC_DIMENSION_LIMIT",
     "PointCertificate",
     "PointStatus",
@@ -105,8 +107,7 @@ __all__ = [
 
 ENGINE_BOTH = "both"
 
-# "auto" picks exact up to EXACT_DIMENSION_LIMIT; NUMERIC_DIMENSION_LIMIT bounds every engine.
-EXACT_DIMENSION_LIMIT = 9
+# The one size limit of every engine; ``allow_large`` lifts it.
 NUMERIC_DIMENSION_LIMIT = 12
 
 # Rounds of fresh nullspace samples a witness block draws before it gives up.
@@ -328,10 +329,7 @@ def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool
     takes no matrix, so a caller can refuse d before building the d x d matrix.
     """
     if engine == "auto":
-        if kind is TransitionKind.DFT and d <= EXACT_DIMENSION_LIMIT:
-            engine = ENGINE_EXACT
-        else:
-            engine = ENGINE_NUMERIC
+        engine = ENGINE_EXACT if kind is TransitionKind.DFT else ENGINE_NUMERIC
     if engine not in (ENGINE_EXACT, ENGINE_NUMERIC, ENGINE_BOTH):
         raise ValueError(f"unknown engine {engine!r}")
     if engine != ENGINE_NUMERIC and kind is not TransitionKind.DFT:
@@ -462,20 +460,18 @@ def _column_orbits(d: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
     """Present with the first certifying candidate, columns outer, or Hole.
-    A DFT point in the half-plane (n_a + n_b > d) first audits rows
+    A DFT point in the half-plane (n_a + n_b > d) is Present with rows
     range(d - n_a) by columns range(n_b) (any rows on those columns, or columns
-    on those rows, span full-rank Vandermonde blocks) and is searched only if
-    that fails.  DFT column sets run in ``_column_orbits`` order, others in lex."""
+    on those rows, span full-rank Vandermonde blocks), unsearched.  DFT
+    column sets run in ``_column_orbits`` order, others in lex."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
     dft = u.kind is TransitionKind.DFT
     if dft and n_a + n_b > d:
-        point = _audited_point(u, oracle.engine, n_a, n_b, range(n_rows), range(n_b))
-        if point is not None:
-            return point
-    if dft and n_rows:
+        return _audited_point(u, oracle.engine, n_a, n_b, range(n_rows), range(n_b))
+    if dft:
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
         row_sets = list(combinations(range(d), n_rows))
@@ -484,24 +480,15 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     for cols in col_sets:
         for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
             if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
-                point = _audited_point(u, oracle.engine, n_a, n_b, rows, cols)
-                if point is None:
-                    raise RuntimeError(
-                        "search and audit paths disagree on a certifying candidate"
-                    )
-                return point
+                return _audited_point(u, oracle.engine, n_a, n_b, rows, cols)
     note = f"exhausted {len(col_sets) * len(row_sets)} candidates"
     return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 
 
-def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> DiagramPoint | None:
-    """The DFT point (n_a, n_b) read off its decided mirror (n_b, n_a), or
-    None when the point must be searched.
-
-    A mirror Hole gives a Hole.  A mirror certificate (R, C) gives rows
-    Z_d - C and columns Z_d - R, kept if they pass the audit a searched
-    certificate gets; a complement-swap that fails the audit is searched.
-    """
+def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> DiagramPoint:
+    """The DFT point (n_a, n_b) read off its decided mirror (n_b, n_a): a Hole
+    for a mirror Hole, else rows Z_d - C and columns Z_d - R for the mirror's
+    certificate (R, C), audited as a searched certificate is."""
     n_a, n_b = mirror.n_b, mirror.n_a
     if mirror.status is PointStatus.HOLE:
         note = f"mirror of ({mirror.n_a}, {mirror.n_b})"
@@ -511,10 +498,12 @@ def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> D
     return _audited_point(u, engine, n_a, n_b, rows, cols)
 
 
-def _audited_point(u: TransitionMatrix, engine: str, n_a, n_b, rows, cols) -> DiagramPoint | None:
-    """Present with the selection (rows, cols) if it passes the audit, else None."""
+def _audited_point(u: TransitionMatrix, engine: str, n_a, n_b, rows, cols) -> DiagramPoint:
+    """Present with the selection (rows, cols); raises if it fails the audit."""
     ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
-    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, cert) if ok else None
+    if not ok:
+        raise RuntimeError(f"({n_a}, {n_b}) fails the {engine} audit: {cert.rows} x {cert.cols}")
+    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, cert)
 
 
 def point_exists(
@@ -540,8 +529,7 @@ def enumerate_diagram(
     """Assign Present or Hole to every lattice point.
 
     One rank cache serves the whole run.  A DFT point with n_a > n_b is
-    first read off its mirror (n_b, n_a), decided earlier in the loop, and
-    searched only if that fails.
+    read off its mirror (n_b, n_a), decided earlier in the loop.
     ``sym_reduce`` is ignored, as the DFT search always scans the quotient;
     it stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``.
@@ -553,8 +541,10 @@ def enumerate_diagram(
     points: dict[tuple[int, int], DiagramPoint] = {}
     for n_a in range(1, u.d + 1):
         for n_b in range(1, u.d + 1):
-            mirrored = _mirrored_point(u, eng, points[(n_b, n_a)]) if dft and n_b < n_a else None
-            points[(n_a, n_b)] = mirrored or _find_point(u, oracle, n_a, n_b)
+            if dft and n_b < n_a:
+                points[(n_a, n_b)] = _mirrored_point(u, eng, points[(n_b, n_a)])
+            else:
+                points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b)
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,

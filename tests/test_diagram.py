@@ -330,10 +330,13 @@ def test_mirrored_point_needs_a_decided_mirror_that_passes_the_audit():
     u = dft_matrix(6)
     hole = _mirrored_point(u, "exact", DiagramPoint(n_a=1, n_b=2, status=PointStatus.HOLE))
     assert hole == DiagramPoint(n_a=2, n_b=1, status=PointStatus.HOLE, note="mirror of (1, 2)")
-    # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block
+    # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block: a mirrored
+    # certificate is a theorem, so one that fails its audit raises and is
+    # never searched
     forged = PointCertificate(rows=(0, 1, 2, 3), cols=(0, 1, 2, 3))
     present = DiagramPoint(n_a=2, n_b=4, status=PointStatus.PRESENT, certificate=forged)
-    assert _mirrored_point(u, "exact", present) is None
+    with pytest.raises(RuntimeError, match=r"\(4, 2\) fails the exact audit: \(4, 5\) x \(4, 5\)"):
+        _mirrored_point(u, "exact", present)
 
 
 def test_general_matrix_search_scans_every_selection():
@@ -437,37 +440,22 @@ def test_point_search_above_the_diagonal_gives_the_lex_first_certificate(d):
         assert (point.status, (cert.rows, cert.cols)) == (status, selection), (a, b)
 
 
-def test_failed_closed_form_audit_falls_back_to_the_search(monkeypatch):
-    # the search behind a failed closed form scans the one column order, so
-    # it returns the first candidate of the full scan by stabilizer size
+def test_failed_closed_form_audit_raises_unsearched(monkeypatch):
+    # the closed form is a theorem: an audit that rejects it raises, naming
+    # the point, the engine and the selection, before the oracle is asked
+    # for any rank
     u = dft_matrix(8)
-    searched = {}
+    audit = diagram.check_submatrix_conditions
+    monkeypatch.setattr(
+        diagram, "check_submatrix_conditions", lambda *a, **k: (False, audit(*a, **k)[1])
+    )
     for n_a, n_b in [(1, 8), (3, 6), (4, 5), (4, 8), (6, 3)]:
         oracle = _RankOracle(u, "exact")
-        assert _find_point(u, oracle, n_a, n_b).status is PointStatus.PRESENT
-        assert oracle.requests == 0
-        col_sets = _by_stabilizer(8, combinations(range(8), n_b))
-        searched[(n_a, n_b)] = _first_candidate(oracle, 8, n_a, col_sets)
-    # {0, 2, 4}, which 4 maps fix, comes before the closed form's {0, 1, 2},
-    # which 2 fix
-    assert searched[(6, 3)] == ((0, 4), (0, 2, 4))
-    audit = diagram.check_submatrix_conditions
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        ok, cert = audit(*args, **kwargs)
-        calls.append(ok)
-        return ok and len(calls) > 1, cert
-
-    monkeypatch.setattr(diagram, "check_submatrix_conditions", fails_once)
-    for (n_a, n_b), expected in searched.items():
-        calls.clear()
-        oracle = _RankOracle(u, "exact")
-        point = _find_point(u, oracle, n_a, n_b)
-        assert point.status is PointStatus.PRESENT
-        assert (point.certificate.rows, point.certificate.cols) == expected, (n_a, n_b)
-        assert calls == [True, True]
-        assert oracle.requests > 0
+        rows, cols = tuple(range(8 - n_a)), tuple(range(n_b))
+        with pytest.raises(RuntimeError) as exc:
+            _find_point(u, oracle, n_a, n_b)
+        assert str(exc.value) == f"({n_a}, {n_b}) fails the exact audit: {rows} x {cols}"
+        assert oracle.requests == 0, (n_a, n_b)
 
 
 def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
@@ -570,15 +558,35 @@ def test_engines_share_rank_counters(d, diagram_cache):
 
 def test_enumerate_rejects_oversized_exact(diagram_cache):
     # one size limit for every engine: exact and both run d=10 without
-    # allow_large, every engine refuses d=13, and auto keeps its switch
+    # allow_large, every engine refuses d=13, and auto is exact for the DFT
+    # at every d and numeric for any other matrix
     for engine in ("exact", "both"):
         assert diagram_cache(10, engine=engine).engine == engine
     for engine in ("auto", "exact", "numeric", "both"):
         with pytest.raises(ValueError, match="enumeration is limited to d <= 12 by default"):
             enumerate_diagram(dft_matrix(13), engine=engine)
-    assert [_resolve_engine(d, TransitionKind.DFT, "auto", False) for d in range(1, 13)] == (
-        ["exact"] * 9 + ["numeric"] * 3
-    )
+    resolved = [_resolve_engine(d, TransitionKind.DFT, "auto", False) for d in range(1, 13)]
+    assert resolved == ["exact"] * 12
+    assert _resolve_engine(6, TransitionKind.GENERAL, "auto", False) == "numeric"
+
+
+def test_d40_half_plane_point_is_certified_exactly_unsearched():
+    # Corollary 1 at d=40: auto audits the closed form on the exact engine
+    # and builds no 2^40 rotation table; the numeric engine misjudges one of
+    # its blocks, and the failed audit raises instead of searching
+    u = dft_matrix(40)
+    _least_rotations.cache_clear()
+    point = point_exists(u, 20, 21, allow_large=True)
+    assert point.status is PointStatus.PRESENT
+    cert = point.certificate
+    assert (cert.rows, cert.cols) == (tuple(range(20)), tuple(range(21)))
+    audit = [cert.base] + [c for _, c in cert.added + cert.removed]
+    assert len(audit) == 1 + 20 + 21
+    assert {c.engine for c in audit} == {"exact"}
+    assert _least_rotations.cache_info().currsize == 0
+    with pytest.raises(RuntimeError, match=r"\(20, 21\) fails the numeric audit"):
+        point_exists(u, 20, 21, engine="numeric", allow_large=True)
+    assert _least_rotations.cache_info().currsize == 0
 
 
 @pytest.mark.slow
