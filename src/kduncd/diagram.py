@@ -41,8 +41,12 @@ each point with n_a > n_b off its mirror (n_b, n_a), decided earlier
 (``_mirrored_point``); such a point's certificate is the complement-swap of
 its mirror's, not the closed form or the full scan's first candidate.
 
-Every certificate is audited on the run's engine, and one that fails raises;
-on the exact engine, which ``auto`` picks for the DFT at every d, none can.
+The search returns selections unaudited.  Every certificate is then audited
+on the run's engine, and one that fails raises; on the exact engine, which
+``auto`` picks for the DFT at every d, none can.  ``enumerate_diagram``
+audits a row n_a once it is decided, as one rank stack of the distinct
+blocks of all its certificates, since a stack per point is mostly numpy's
+per-call overhead.
 
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
@@ -57,10 +61,10 @@ import bisect
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -391,13 +395,10 @@ def check_submatrix_conditions(
 ) -> tuple[bool, PointCertificate]:
     """Audited evaluation of the three rank conditions for one candidate.
 
-    Ranks every block the audit may read at once: one padded stack on the
-    exact engine, one SVD stack per block shape on the numeric one.  Returns
-    the verdict together with the certificates read in the order of
+    Returns the verdict together with the certificates read in the order of
     ``_conditions_hold``, so on failure they stop at the first violated
     condition.  ``rows`` may be empty, which encodes the full-A-support
-    case.  Engine ``both`` keeps the exact certificates, after raising on the
-    first block whose numeric rank differs.
+    case.  The audit is ``_audit``'s one-selection case.
     """
     d = u.d
     rows = tuple(sorted(int(r) for r in rows))
@@ -408,33 +409,53 @@ def check_submatrix_conditions(
         raise ValueError("row index out of range")
     if not cols or cols[0] < 0 or cols[-1] >= d:
         raise ValueError("column selection must be a nonempty subset of the index range")
-    eng = _resolve_engine(d, u.kind, engine, allow_large=True)
-    outside = [k for k in range(d) if k not in rows]
-    blocks = [(rows, cols)]
-    blocks += [(_insert_sorted(rows, k), cols) for k in outside]
-    blocks += [(rows, cols[:i] + cols[i + 1 :]) for i in range(len(cols))]
+    return _audit(u, _resolve_engine(d, u.kind, engine, allow_large=True), [(rows, cols)])[0]
+
+
+def _audit(u: TransitionMatrix, eng: str, selections: list) -> list[tuple[bool, PointCertificate]]:
+    """``check_submatrix_conditions`` for each sorted (rows, cols) selection.
+
+    Ranks every distinct block the audits may read once, all at once: one
+    padded stack on the exact engine, one SVD stack per block shape on the
+    numeric one.  Engine ``both`` keeps the exact certificates, after raising
+    on the first block, in order, whose numeric rank differs.
+    """
+    d = u.d
+    first_use: dict = {}  # the distinct blocks, in order of first use
+    for rows, cols in selections:
+        first_use[rows, cols] = None
+        first_use.update(((_insert_sorted(rows, k), cols), None) for k in range(d) if k not in rows)
+        first_use.update(((rows, cols[:i] + cols[i + 1 :]), None) for i in range(len(cols)))
+    blocks = list(first_use)
     if eng != ENGINE_EXACT:  # one SVD stack per block shape, each with its own threshold
-        numeric = []
-        for _, group in groupby(blocks, key=lambda b: (len(b[0]), len(b[1]))):
-            numeric += _numeric_block_ranks(u.numeric, *zip(*group))
-        found = [RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in numeric]
+        shapes: dict[tuple[int, int], list] = {}
+        for block in blocks:
+            shapes.setdefault((len(block[0]), len(block[1])), []).append(block)
+        numeric = {}
+        for group in shapes.values():
+            numeric.update(zip(group, _numeric_block_ranks(u.numeric, *zip(*group))))
+        found = [RankCertificate(numeric[b], ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for b in blocks]
     if eng != ENGINE_NUMERIC:
         ranks, pivots = _exact_block_ranks(d, blocks)
         if eng == ENGINE_BOTH:
-            _check_agreement(blocks, ranks, numeric)
+            _check_agreement(blocks, ranks, [numeric[b] for b in blocks])
         pairs = map(_pivot_pairs, pivots)
         found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
     table = dict(zip(blocks, found))
-    certs: list[RankCertificate] = []
 
-    def rank_of(r, c) -> int:
-        certs.append(table[r, c])
-        return certs[-1].rank
+    def audit(rows, cols) -> tuple[bool, PointCertificate]:
+        certs: list[RankCertificate] = []
 
-    ok = _conditions_hold(rank_of, d, rows, cols)
-    added = tuple(zip(outside, certs[1:]))
-    removed = tuple(zip(cols, certs[1 + len(outside) :]))
-    return ok, PointCertificate(rows=rows, cols=cols, base=certs[0], added=added, removed=removed)
+        def rank_of(r, c) -> int:
+            certs.append(table[r, c])
+            return certs[-1].rank
+
+        ok = _conditions_hold(rank_of, d, rows, cols)
+        added = tuple(zip((k for k in range(d) if k not in rows), certs[1:]))
+        removed = tuple(zip(cols, certs[1 + d - len(rows) :]))
+        return ok, PointCertificate(rows, cols, certs[0], added, removed)
+
+    return [audit(rows, cols) for rows, cols in selections]
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +484,16 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     A DFT point in the half-plane (n_a + n_b > d) is Present with rows
     range(d - n_a) by columns range(n_b) (any rows on those columns, or columns
     on those rows, span full-rank Vandermonde blocks), unsearched.  DFT
-    column sets run in ``_column_orbits`` order, others in lex."""
+    column sets run in ``_column_orbits`` order, others in lex.  A Present
+    certificate holds the selection only; ``_audited`` audits it."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a
     dft = u.kind is TransitionKind.DFT
     if dft and n_a + n_b > d:
-        return _audited_point(u, oracle.engine, n_a, n_b, range(n_rows), range(n_b))
+        rows, cols = tuple(range(n_rows)), tuple(range(n_b))
+        return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
     if dft:
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
@@ -480,30 +503,37 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     for cols in col_sets:
         for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
             if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
-                return _audited_point(u, oracle.engine, n_a, n_b, rows, cols)
+                return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
     note = f"exhausted {len(col_sets) * len(row_sets)} candidates"
     return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 
 
-def _mirrored_point(u: TransitionMatrix, engine: str, mirror: DiagramPoint) -> DiagramPoint:
+def _mirrored_point(d: int, mirror: DiagramPoint) -> DiagramPoint:
     """The DFT point (n_a, n_b) read off its decided mirror (n_b, n_a): a Hole
-    for a mirror Hole, else rows Z_d - C and columns Z_d - R for the mirror's
-    certificate (R, C), audited as a searched certificate is."""
+    for a mirror Hole, else Present with rows Z_d - C and columns Z_d - R for
+    the mirror's certificate (R, C), unaudited as a searched selection is."""
     n_a, n_b = mirror.n_b, mirror.n_a
     if mirror.status is PointStatus.HOLE:
         note = f"mirror of ({mirror.n_a}, {mirror.n_b})"
         return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
-    rows = set(range(u.d)) - set(mirror.certificate.cols)
-    cols = set(range(u.d)) - set(mirror.certificate.rows)
-    return _audited_point(u, engine, n_a, n_b, rows, cols)
+    rows = tuple(x for x in range(d) if x not in mirror.certificate.cols)
+    cols = tuple(x for x in range(d) if x not in mirror.certificate.rows)
+    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
 
 
-def _audited_point(u: TransitionMatrix, engine: str, n_a, n_b, rows, cols) -> DiagramPoint:
-    """Present with the selection (rows, cols); raises if it fails the audit."""
-    ok, cert = check_submatrix_conditions(u, rows, cols, engine=engine)
-    if not ok:
-        raise RuntimeError(f"({n_a}, {n_b}) fails the {engine} audit: {cert.rows} x {cert.cols}")
-    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, cert)
+def _audited(u: TransitionMatrix, engine: str, points) -> dict[tuple[int, int], DiagramPoint]:
+    """``points`` by (n_a, n_b), each Present selection replaced by its audited
+    certificate; one ``_audit`` batch, none without a Present point.  Raises
+    on the first selection, in order, that fails."""
+    out = {(p.n_a, p.n_b): p for p in points}
+    present = [p for p in points if p.status is PointStatus.PRESENT]
+    selections = [(p.certificate.rows, p.certificate.cols) for p in present]
+    for p, (ok, cert) in zip(present, _audit(u, engine, selections) if present else ()):
+        if not ok:
+            point = f"({p.n_a}, {p.n_b})"
+            raise RuntimeError(f"{point} fails the {engine} audit: {cert.rows} x {cert.cols}")
+        out[p.n_a, p.n_b] = replace(p, certificate=cert)
+    return out
 
 
 def point_exists(
@@ -516,7 +546,7 @@ def point_exists(
 ) -> DiagramPoint:
     """Decide one lattice point as ``enumerate_diagram`` does, mirrors aside."""
     eng = _resolve_engine(u.d, u.kind, engine, allow_large)
-    return _find_point(u, _RankOracle(u, eng), n_a, n_b)
+    return _audited(u, eng, [_find_point(u, _RankOracle(u, eng), n_a, n_b)])[n_a, n_b]
 
 
 def enumerate_diagram(
@@ -529,7 +559,9 @@ def enumerate_diagram(
     """Assign Present or Hole to every lattice point.
 
     One rank cache serves the whole run.  A DFT point with n_a > n_b is
-    read off its mirror (n_b, n_a), decided earlier in the loop.
+    read off its mirror (n_b, n_a), decided and audited in an earlier row.
+    Once a row n_a is decided, its Present certificates are audited as one
+    rank stack; a stack per diagram would hold all its blocks in memory.
     ``sym_reduce`` is ignored, as the DFT search always scans the quotient;
     it stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``.
@@ -540,11 +572,9 @@ def enumerate_diagram(
     start = time.perf_counter()
     points: dict[tuple[int, int], DiagramPoint] = {}
     for n_a in range(1, u.d + 1):
-        for n_b in range(1, u.d + 1):
-            if dft and n_b < n_a:
-                points[(n_a, n_b)] = _mirrored_point(u, eng, points[(n_b, n_a)])
-            else:
-                points[(n_a, n_b)] = _find_point(u, oracle, n_a, n_b)
+        mirrored = [_mirrored_point(u.d, points[(b, n_a)]) for b in range(1, n_a if dft else 1)]
+        searched = [_find_point(u, oracle, n_a, b) for b in range(len(mirrored) + 1, u.d + 1)]
+        points.update(_audited(u, eng, mirrored + searched))
     elapsed = time.perf_counter() - start
     stats = {
         "rank_requests": oracle.requests,

@@ -38,6 +38,7 @@ from kduncd import (
 from kduncd import diagram
 from kduncd.diagram import (
     _WITNESS_TRIES,
+    _audited,
     _column_orbits,
     _conditions_hold,
     _dft_block,
@@ -328,15 +329,18 @@ def test_mirrored_certificates_are_complement_swaps(d, diagram_cache):
 
 def test_mirrored_point_needs_a_decided_mirror_that_passes_the_audit():
     u = dft_matrix(6)
-    hole = _mirrored_point(u, "exact", DiagramPoint(n_a=1, n_b=2, status=PointStatus.HOLE))
+    hole = _mirrored_point(6, DiagramPoint(n_a=1, n_b=2, status=PointStatus.HOLE))
     assert hole == DiagramPoint(n_a=2, n_b=1, status=PointStatus.HOLE, note="mirror of (1, 2)")
-    # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block: a mirrored
-    # certificate is a theorem, so one that fails its audit raises and is
-    # never searched
+    # mirrors to rows {4, 5} and columns {4, 5}, a full-rank block: the
+    # complement-swap is returned unaudited, and a mirrored certificate is a
+    # theorem, so one that fails its audit raises and is never searched
     forged = PointCertificate(rows=(0, 1, 2, 3), cols=(0, 1, 2, 3))
     present = DiagramPoint(n_a=2, n_b=4, status=PointStatus.PRESENT, certificate=forged)
+    mirrored = _mirrored_point(6, present)
+    swap = PointCertificate(rows=(4, 5), cols=(4, 5))
+    assert mirrored == DiagramPoint(n_a=4, n_b=2, status=PointStatus.PRESENT, certificate=swap)
     with pytest.raises(RuntimeError, match=r"\(4, 2\) fails the exact audit: \(4, 5\) x \(4, 5\)"):
-        _mirrored_point(u, "exact", present)
+        _audited(u, "exact", [mirrored])
 
 
 def test_general_matrix_search_scans_every_selection():
@@ -441,21 +445,79 @@ def test_point_search_above_the_diagonal_gives_the_lex_first_certificate(d):
 
 
 def test_failed_closed_form_audit_raises_unsearched(monkeypatch):
-    # the closed form is a theorem: an audit that rejects it raises, naming
-    # the point, the engine and the selection, before the oracle is asked
-    # for any rank
+    # the closed form is a theorem: it is chosen before the oracle is asked
+    # for any rank, and an audit that rejects it raises, naming the point,
+    # the engine and the selection, from a single point and from its diagram
+    # row alike
     u = dft_matrix(8)
-    audit = diagram.check_submatrix_conditions
-    monkeypatch.setattr(
-        diagram, "check_submatrix_conditions", lambda *a, **k: (False, audit(*a, **k)[1])
-    )
+    audit = diagram._audit
+    failing = set()
+
+    def forced(u, engine, selections):
+        audits = audit(u, engine, selections)
+        return [(ok and sel not in failing, c) for sel, (ok, c) in zip(selections, audits)]
+
+    monkeypatch.setattr(diagram, "_audit", forced)
     for n_a, n_b in [(1, 8), (3, 6), (4, 5), (4, 8), (6, 3)]:
         oracle = _RankOracle(u, "exact")
         rows, cols = tuple(range(8 - n_a)), tuple(range(n_b))
-        with pytest.raises(RuntimeError) as exc:
-            _find_point(u, oracle, n_a, n_b)
-        assert str(exc.value) == f"({n_a}, {n_b}) fails the exact audit: {rows} x {cols}"
+        point = _find_point(u, oracle, n_a, n_b)
+        assert point.certificate == PointCertificate(rows, cols)
         assert oracle.requests == 0, (n_a, n_b)
+        failing.add((rows, cols))
+        message = f"({n_a}, {n_b}) fails the exact audit: {rows} x {cols}"
+        with pytest.raises(RuntimeError) as exc:
+            point_exists(u, n_a, n_b)
+        assert str(exc.value) == message
+        if n_a <= n_b:  # the diagram reads an n_a > n_b point off its mirror
+            with pytest.raises(RuntimeError) as exc:
+                enumerate_diagram(u)
+            assert str(exc.value) == message
+        failing.clear()
+
+
+@pytest.mark.parametrize("engine, d", [(e, d) for e in ("exact", "numeric") for d in range(1, 13)])
+def test_row_audit_gives_the_one_point_certificates(engine, d, diagram_cache):
+    # a diagram row's certificates are audited as one rank stack; each
+    # equals the audit of its selection on its own, pivots included
+    u = dft_matrix(d)
+    diag = diagram_cache(d, engine=engine)
+    for (a, b) in sorted(diag.present_set()):
+        cert = diag.points[(a, b)].certificate
+        assert check_submatrix_conditions(u, cert.rows, cert.cols, engine=engine) == (True, cert)
+
+
+def test_audit_runs_once_per_row_and_once_per_present_point(monkeypatch):
+    calls = []
+    audit = diagram._audit
+    monkeypatch.setattr(diagram, "_audit", lambda *args: calls.append(args[2]) or audit(*args))
+    enumerate_diagram(dft_matrix(8), engine="exact")
+    assert len(calls) == 8
+    calls.clear()
+    assert point_exists(dft_matrix(8), 4, 2).status is PointStatus.PRESENT
+    assert len(calls) == 1
+    calls.clear()
+    assert point_exists(dft_matrix(8), 1, 1).status is PointStatus.HOLE
+    assert calls == []
+
+
+def test_both_engine_row_audit_raises_on_a_disagreement(monkeypatch):
+    # (2, 5) is a closed-form point, never searched, and no search at d=6
+    # ranks a 4 x 5 block: only the row audit ranks rows (0, 1, 2, 3) on
+    # columns (0, ..., 4), and it compares the engines there
+    target = ((0, 1, 2, 3), (0, 1, 2, 3, 4))
+    numeric = diagram._numeric_block_ranks
+
+    def off_by_one(matrix, row_sets, cols):
+        per_block = cols if cols and isinstance(cols[0], tuple) else [cols] * len(row_sets)
+        ranks = numeric(matrix, row_sets, cols)
+        return [r + ((rows, c) == target) for r, rows, c in zip(ranks, row_sets, per_block)]
+
+    monkeypatch.setattr(diagram, "_numeric_block_ranks", off_by_one)
+    with pytest.raises(EngineDisagreementError) as exc:
+        enumerate_diagram(dft_matrix(6), engine="both")
+    assert (exc.value.rows, exc.value.cols) == target
+    assert (exc.value.exact_rank, exc.value.numeric_rank) == (4, 5)
 
 
 def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
