@@ -152,14 +152,19 @@ def test_stacked_audit_stops_where_the_sequential_audit_stops(engine):
 
 
 @pytest.mark.parametrize(
-    "engine, dims", [("exact", range(1, 10)), ("numeric", range(1, 13))]
+    "engine, dims", [("exact", range(1, 13)), ("numeric", range(1, 13))]
 )
 def test_stacked_audit_ranks_equal_per_block_ranks(engine, dims, diagram_cache):
+    # a diagram row's certificates are audited as one rank stack; each
+    # equals the audit of its selection on its own, pivots included, and
+    # block by block the rank of that block alone
     for d in dims:
         u = dft_matrix(d)
         diag = diagram_cache(d, engine=engine)
         for (a, b) in sorted(diag.present_set()):
             cert = diag.points[(a, b)].certificate
+            audit = check_submatrix_conditions(u, cert.rows, cert.cols, engine=engine)
+            assert audit == (True, cert), (d, a, b)
             got = _audited_ranks(True, cert)
             assert got == _sequential_audit(u, cert.rows, cert.cols, engine), (d, a, b)
             if engine == "exact":
@@ -419,17 +424,21 @@ def test_least_rotations_match_brute_force(d):
 def test_half_plane_points_take_the_closed_form_unsearched(d, engine):
     # on or above n_a + n_b = d + 1, any rows on columns range(n_b) and any
     # columns on rows range(d - n_a) span Vandermonde blocks in distinct
-    # nodes: the audit certifies the selection before the oracle is asked for
-    # any rank, on either side of the diagonal
+    # nodes: the search selects them before the oracle is asked for any
+    # rank, on either side of the diagonal, and the audit certifies them
     u = dft_matrix(d)
     for n_a in range(1, d + 1):
         for n_b in range(d + 1 - n_a, d + 1):
             oracle = _RankOracle(u, engine)
             point = _find_point(u, oracle, n_a, n_b)
             assert point.status is PointStatus.PRESENT, (n_a, n_b)
-            cert = point.certificate
-            assert (cert.rows, cert.cols) == (tuple(range(d - n_a)), tuple(range(n_b)))
+            selection = (tuple(range(d - n_a)), tuple(range(n_b)))
+            assert (point.certificate.rows, point.certificate.cols) == selection
             assert oracle.requests == 0, (n_a, n_b)
+            cert = _audited(u, engine, [point])[n_a, n_b].certificate
+            assert (cert.rows, cert.cols) == selection
+            assert cert.base.rank < n_b
+            assert (len(cert.added), len(cert.removed)) == (n_a, n_b), (n_a, n_b)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -474,17 +483,6 @@ def test_failed_closed_form_audit_raises_unsearched(monkeypatch):
                 enumerate_diagram(u)
             assert str(exc.value) == message
         failing.clear()
-
-
-@pytest.mark.parametrize("engine, d", [(e, d) for e in ("exact", "numeric") for d in range(1, 13)])
-def test_row_audit_gives_the_one_point_certificates(engine, d, diagram_cache):
-    # a diagram row's certificates are audited as one rank stack; each
-    # equals the audit of its selection on its own, pivots included
-    u = dft_matrix(d)
-    diag = diagram_cache(d, engine=engine)
-    for (a, b) in sorted(diag.present_set()):
-        cert = diag.points[(a, b)].certificate
-        assert check_submatrix_conditions(u, cert.rows, cert.cols, engine=engine) == (True, cert)
 
 
 def test_audit_runs_once_per_row_and_once_per_present_point(monkeypatch):
