@@ -141,8 +141,6 @@ _engine = click.option(
     help="Rank engine; auto picks exact at every d.",
 )
 _count = partial(click.option, type=click.IntRange(min=1), default=None)
-_eps_support = _tolerance("--eps-support", default=DEFAULT_SUPPORT_EPS)
-_eps_classical = _tolerance("--eps-classical", default=DEFAULT_CLASSICALITY_EPS)
 _seed = click.option("--seed", type=int, default=None)
 _cache = click.option(
     "--cache",
@@ -196,8 +194,8 @@ def cmd_diagram(dim, out, csv_path, svg_path, engine, allow_large, cache_dir) ->
 @main.command("classify")
 @click.argument("state_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--d", "dim", type=int, default=None, help="Expected dimension.")
-@_eps_support
-@_eps_classical
+@_tolerance("--eps-support", default=DEFAULT_SUPPORT_EPS)
+@_tolerance("--eps-classical", default=DEFAULT_CLASSICALITY_EPS)
 def cmd_classify(state_file, dim, eps_support, eps_classical) -> None:
     """Classify a state from a JSON file against the DFT basis pair."""
     try:
@@ -268,24 +266,21 @@ def cmd_verify(theorem, dim, samples, pairs, engine, seed, cache_dir) -> None:
 @click.argument("n_a", type=int)
 @click.argument("n_b", type=int)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@_engine
 @_seed
-@_eps_support
-@_eps_classical
-def cmd_witness(dim, n_a, n_b, out, engine, seed, eps_support, eps_classical) -> None:
+def cmd_witness(dim, n_a, n_b, out, seed) -> None:
     """Emit a state realizing a Present diagram point."""
     with _exit_codes():
-        _resolve_engine(dim, TransitionKind.DFT, engine, allow_large=False)
+        _resolve_engine(dim, TransitionKind.DFT, "auto", allow_large=False)
         u = dft_matrix(dim)
-        point = point_exists(u, n_a, n_b, engine=engine)
+        point = point_exists(u, n_a, n_b)
         if point.status is PointStatus.HOLE:
             click.echo(f"point ({n_a}, {n_b}) is a hole for d={dim}", err=True)
             sys.exit(EXIT_MISMATCH)
-        psi = witness_state(u, point, seed=seed, eps_support=eps_support)
+        psi = witness_state(u, point, seed=seed)
         if out is not None:
             save_state(out, psi)
-    profile = support_profile(psi, u, eps=eps_support)
-    result = classify_state(psi, u, eps=eps_classical)
+    profile = support_profile(psi, u)
+    result = classify_state(psi, u)
     report = {
         "d": dim,
         "n_a": profile.n_a,

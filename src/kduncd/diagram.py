@@ -593,10 +593,9 @@ def is_completely_incompatible(
     u: TransitionMatrix,
     *,
     diagram: UncertaintyDiagram | None = None,
-    engine: str = "auto",
 ) -> bool:
     """True iff the diagram is exactly the half-plane n_a + n_b >= d + 1."""
-    diag = diagram if diagram is not None else enumerate_diagram(u, engine=engine)
+    diag = diagram if diagram is not None else enumerate_diagram(u)
     return diag.present_set() == predict_corollary1(diag.d).points
 
 
@@ -604,21 +603,19 @@ def witness_state(
     u: TransitionMatrix,
     point: DiagramPoint,
     seed: int | np.random.Generator | None = None,
-    *,
-    eps_support: float = DEFAULT_SUPPORT_EPS,
 ) -> StateVector:
     """Random state realizing a certified Present point's exact profile: the
     one-row case of ``_witness_block``."""
-    amps = _witness_block(u, point, 1, np.random.default_rng(seed), eps_support)[0]
+    amps = _witness_block(u, point, 1, np.random.default_rng(seed))[0]
     amps.setflags(write=False)
     return StateVector(d=u.d, amps_a=amps, norm=1.0)
 
 
 def _witness_block(
-    u: TransitionMatrix, point: DiagramPoint, count: int, rng: np.random.Generator, eps: float
+    u: TransitionMatrix, point: DiagramPoint, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``count`` random states realizing a certified Present point's exact
-    profile, as rows of A amplitudes.
+    profile at the default support threshold, as rows of A amplitudes.
 
     Samples the nullspace of the certified submatrix, which holds the states
     with A-support avoiding the certificate rows and B-support inside its
@@ -637,7 +634,7 @@ def _witness_block(
     todo = np.arange(count)
     for _ in range(_WITNESS_TRIES):
         amps[todo] = draw(rng, todo.size)
-        n_a, n_b = _support_masks(amps[todo], u, eps).sum(axis=-1)
+        n_a, n_b = _support_masks(amps[todo], u, DEFAULT_SUPPORT_EPS).sum(axis=-1)
         todo = todo[(n_a != point.n_a) | (n_b != point.n_b)]
         if not todo.size:
             return amps

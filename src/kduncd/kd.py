@@ -260,8 +260,8 @@ def support_profile(
     The threshold is relative: an amplitude counts as nonzero when its
     magnitude exceeds ``eps`` times the largest magnitude in that basis.
     """
-    if eps < 0:
-        raise ValueError("support threshold must be nonnegative")
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValueError(f"support threshold must be finite and nonnegative, got {eps}")
     _require_same_dim(psi, u)
     in_a, in_b = _support_masks(psi.amps_a, u, eps)
     s_set = frozenset(np.flatnonzero(in_a).tolist())
@@ -291,6 +291,8 @@ def classify_state(
     A cell violates when |Im Q| > eps or Re Q < -eps; the witness is the cell
     maximizing max(|Im Q|, -Re Q), ties resolved in row-major order.
     """
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValueError(f"classicality tolerance must be finite and nonnegative, got {eps}")
     table = kd_distribution(psi, u).q
     violation = _violation(table)
     flat = int(np.argmax(violation))

@@ -143,7 +143,7 @@ def verify_theorem4(
             left = len(range(j, witness_samples, len(eligible)))
             while left:
                 size = min(left, _WITNESS_BLOCK)
-                amps = _witness_block(u, diag.points[key], size, rng, DEFAULT_SUPPORT_EPS)
+                amps = _witness_block(u, diag.points[key], size, rng)
                 bad += [f"witness at {key}: {fault}" for fault in _witness_faults(u, key, amps)]
                 left -= size
                 done += size

@@ -1,6 +1,7 @@
 import json
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -94,7 +95,7 @@ def test_diagram_allow_large_lifts_the_size_limit(runner, tmp_path):
     "args",
     [
         ["verify", "T2", "--d", "10..12", "--engine", "exact"],
-        ["witness", "--d", "12", "6", "4", "--engine", "exact", "--seed", "7"],
+        ["witness", "--d", "12", "6", "4", "--seed", "7"],
     ],
     ids=["verify", "witness"],
 )
@@ -258,13 +259,27 @@ def test_verify_refuses_a_range_past_the_size_limit_before_enumerating(
 
 
 def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatch):
-    result = runner.invoke(
-        main, ["witness", "--d", "6", "3", "4", "--eps-support", "0.9", "--seed", "1"]
-    )
+    # every draw is the uniform state, of profile (d, 1), so each round of
+    # the retry loop misses (3, 4)
+    rounds = []
+
+    def sampler(u, support, cols):
+        def draw(rng, count):
+            rounds.append(count)
+            return np.ones((count, u.d), dtype=complex)
+
+        return draw
+
+    tries = diagram_mod._WITNESS_TRIES
+    with monkeypatch.context() as patch:
+        patch.setattr("kduncd.diagram._subspace_sampler", sampler)
+        result = runner.invoke(main, ["witness", "--d", "6", "3", "4", "--seed", "1"])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert result.output.startswith("witness sampling failed:")
+    message = f"witness sampling failed: no sample hit profile (3, 4) in {tries} tries\n"
+    assert result.output == message
+    assert rounds == [1] * tries
 
     def fail(*args, **kwargs):
         raise diagram_mod.WitnessSamplingError("forced")
@@ -285,7 +300,7 @@ def test_witness_sampling_failure_exits_one_without_traceback(runner, monkeypatc
         ),
         ("classify", {"--d", "--eps-support", "--eps-classical"}),
         ("verify", {"--d", "--samples", "--pairs", "--engine", "--seed", "--cache"}),
-        ("witness", {"--d", "--out", "--engine", "--seed", "--eps-support", "--eps-classical"}),
+        ("witness", {"--d", "--out", "--seed"}),
     ],
     ids=["diagram", "classify", "verify", "witness"],
 )
@@ -305,6 +320,11 @@ def test_options_a_command_does_not_read_are_rejected(runner, tmp_path):
         ["diagram", "--d", "4", "--allow-partial"],
         ["verify", "T1", "--d", "4", "--max-checks", "1"],
         ["witness", "--d", "4", "2", "3", "--max-checks", "1"],
+        # a witness is decided on the exact engine and sampled and reported at
+        # the default tolerances, which no engine or sane tolerance changes
+        *(["witness", "--d", "4", "2", "3", "--engine", e] for e in ("exact", "numeric", "both")),
+        ["witness", "--d", "4", "2", "3", "--eps-support", "1e-10"],
+        ["witness", "--d", "4", "2", "3", "--eps-classical", "1e-10"],
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -342,13 +362,18 @@ def test_rank_tol_is_not_an_option(runner, args, value):
     ids=lambda args: f"{args[0]}{args[-1]}",
 )
 def test_tolerances_must_be_positive_and_finite(runner, tmp_path, args, value):
+    # classify checks its tolerances; witness takes none, so it refuses every
+    # value as an unknown option
     state = tmp_path / "hyperbola.json"
     save_state(state, state_from_amplitudes([1, 0, 0, 1, 0, 0]))
     args = [str(state) if a == "STATE" else a for a in args]
     result = runner.invoke(main, [*args, value])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
-    assert "must be a positive finite number" in result.output
+    if args[0] == "witness":
+        assert f"No such option '{args[-1]}'" in result.output
+    else:
+        assert "must be a positive finite number" in result.output
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

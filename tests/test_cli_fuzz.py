@@ -108,10 +108,7 @@ def _verify(rules, dims):
 _WITNESS = _command(
     _words("witness", "--d"),
     _WITNESS_AT,
-    _ENGINE_OPT,
     _opt("--seed", _SEED),
-    _opt("--eps-support", _EPS),
-    _opt("--eps-classical", _EPS),
     _opt("--out", st.just("{tmp}/w.json")),
 )
 

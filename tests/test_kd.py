@@ -164,6 +164,21 @@ def test_support_profile_rejects_zero_vector():
         state_from_amplitudes([0, 0, 0])
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_tolerances_must_be_nonnegative_and_finite(eps):
+    # a basis state is classical with profile (1, d): a negative or NaN
+    # tolerance would call it nonclassical, NaN would give it no support
+    psi, u = basis_state(4, 0), dft_matrix(4)
+    with pytest.raises(ValueError, match="classicality tolerance must be finite and nonneg"):
+        classify_state(psi, u, eps=eps)
+    with pytest.raises(ValueError, match="support threshold must be finite and nonneg"):
+        support_profile(psi, u, eps=eps)
+    # zero is the strictest tolerance, not an invalid one
+    assert classify_state(psi, u, eps=0.0).verdict is Verdict.CLASSICAL
+    profile = support_profile(psi, u, eps=0.0)
+    assert (profile.n_a, profile.n_b) == (1, 4)
+
+
 @pytest.mark.parametrize(
     "amps",
     [[math.nan, 1], [math.inf, 1], [1, -math.inf], [complex(1, math.nan), 0]],

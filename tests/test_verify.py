@@ -56,8 +56,8 @@ def test_theorem4_fails_on_a_hyperbola_row(diagram_cache, monkeypatch):
     key, n = list(_shares(diagram_cache, 6, 100).items())[-1]
     coset = coset_classical_state(CosetSpec(d=6, p=2)).amps_a  # profile (2, 3): product d
 
-    def forced(u, point, count, rng, eps):
-        amps = real(u, point, count, rng, eps)
+    def forced(u, point, count, rng):
+        amps = real(u, point, count, rng)
         if (point.n_a, point.n_b) == key:
             amps[count // 2] = coset
         return amps
