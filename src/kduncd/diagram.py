@@ -79,8 +79,8 @@ from .linalg import (
     RankCertificate,
     _exact_rank_int,
     _pivot_pairs,
+    _stack_svd_ranks,
     rank,
-    svd_rank,
 )
 from .states import _subspace_sampler
 
@@ -317,13 +317,14 @@ def _check_agreement(blocks, exact: list[int], numeric: list[int]) -> None:
 
 
 def _numeric_block_ranks(numeric: np.ndarray, row_sets, cols) -> list[int]:
-    """Numeric ranks of blocks of one shape, rows in ``row_sets``, as one SVD
-    stack; ``cols`` is one index set or one per block."""
+    """Numeric ranks of blocks of one shape, rows in ``row_sets``, as one
+    stack, certified full rank or else SVD'd; ``cols`` is one index set or
+    one per block."""
     rows = np.array(row_sets, dtype=np.intp)
     stack = numeric[rows[:, :, None], np.array(cols, dtype=np.intp)[..., None, :]]
     if not stack.size:
         return [0] * len(rows)
-    return svd_rank(np.linalg.svd(stack, compute_uv=False), max(stack.shape[1:])).tolist()
+    return _stack_svd_ranks(stack)
 
 
 def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:

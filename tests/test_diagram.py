@@ -50,6 +50,7 @@ from kduncd.diagram import (
     _resolve_engine,
     _witness_block,
 )
+from kduncd.linalg import svd_rank
 
 from sampling_oracle import sampled_present_set
 
@@ -907,3 +908,27 @@ def test_diagram_json_schema(diagram_cache):
         else:
             assert point["rows"] is None and point["cols"] is None
     json.dumps(payload)  # serializable
+
+
+@pytest.mark.parametrize(
+    "u", [dft_matrix(d) for d in range(1, 13)] + [random_mub_pair(6, seed) for seed in (1, 2, 3)]
+)
+def test_numeric_stack_ranks_match_the_svd_in_every_search_and_audit(monkeypatch, u):
+    # every stack the numeric search and audit rank, certified or not,
+    # gets the rank the plain SVD count gives
+    numeric = diagram._numeric_block_ranks
+    seen = []
+
+    def checked(matrix, row_sets, cols):
+        ranks = numeric(matrix, row_sets, cols)
+        rows = np.array(row_sets, dtype=np.intp)
+        stack = matrix[rows[:, :, None], np.array(cols, dtype=np.intp)[..., None, :]]
+        if stack.size:
+            s = np.linalg.svd(stack, compute_uv=False)
+            assert ranks == svd_rank(s, max(stack.shape[1:])).tolist()
+        seen.append(len(ranks))
+        return ranks
+
+    monkeypatch.setattr(diagram, "_numeric_block_ranks", checked)
+    enumerate_diagram(u, engine="numeric")
+    assert u.d < 3 or max(seen) > 1

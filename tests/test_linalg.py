@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kduncd import dft_matrix, divisors, nullspace_basis, rank
 from kduncd.diagram import _dft_block
@@ -15,6 +17,7 @@ from kduncd.linalg import (
     _exact_rank_int,
     _modulus,
     _pivot_pairs,
+    _stack_svd_ranks,
     svd_rank,
 )
 
@@ -347,6 +350,91 @@ def test_svd_threshold_counts_zero_for_zero_matrices():
     stack = np.stack([np.zeros(2), np.array([2.0, 1e-13]), np.array([2.0, 1.0])])
     assert svd_rank(stack, 2).tolist() == [0, 1, 2]
     assert svd_rank(np.zeros(2), 2) == 0
+
+
+def _svd_ranks(stack):
+    """The plain SVD count that ``_stack_svd_ranks`` must reproduce."""
+    return svd_rank(np.linalg.svd(stack, compute_uv=False), max(stack.shape[1:])).tolist()
+
+
+def _with_singular_values(rng, n, shape, s):
+    """n complex blocks U diag(s) V^H of the given shape, U and V random."""
+    r, c = shape
+
+    def unitary(k):
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        return q
+
+    k = min(r, c)
+    blocks = [unitary(r)[:, :k] * np.asarray(s) @ unitary(c)[:, :k].conj().T for _ in range(n)]
+    return np.array(blocks)
+
+
+def _random_stack(rng, n, r, c):
+    return rng.normal(size=(n, r, c)) + 1j * rng.normal(size=(n, r, c))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (6, 6), (1, 4), (4, 1)])
+def test_stack_ranks_match_svd_on_full_stacks(shape):
+    rng = np.random.default_rng(sum(shape))
+    for n in (1, 2, 9):
+        stack = _random_stack(rng, n, *shape)
+        assert _stack_svd_ranks(stack) == _svd_ranks(stack) == [min(shape)] * n
+
+
+def test_stack_ranks_match_svd_on_deficient_and_unclear_blocks(monkeypatch):
+    rng = np.random.default_rng(7)
+    zero = np.zeros((2, 4, 3), dtype=complex)
+    repeated = _random_stack(rng, 3, 4, 3)
+    repeated[:, :, 2] = repeated[:, :, 0]  # exactly rank 2
+    uncertified = _with_singular_values(rng, 3, (4, 3), [1, 1, 1e-9])
+    deficient = _with_singular_values(rng, 3, (3, 5), [1, 1, 1e-13])
+    cases = [(zero, [0, 0]), (repeated, [2] * 3), (uncertified, [3] * 3), (deficient, [2] * 3)]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    for stack, expected in cases:
+        assert _svd_ranks(stack) == expected
+        calls.clear()
+        assert _stack_svd_ranks(stack) == expected
+        assert calls == [len(stack)]  # no certificate: every block has a small sigma_min
+        for block in stack:  # and as single blocks, which go straight to the SVD
+            assert _stack_svd_ranks(block[None]) == _svd_ranks(block[None])
+
+
+def test_one_deficient_block_sends_the_whole_stack_to_the_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    stack = _random_stack(rng, 6, 5, 4)
+    stack[3, :, 1] = stack[3, :, 0]  # a repeated column: rank 3 of 4
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    assert _stack_svd_ranks(stack) == [4, 4, 4, 3, 4, 4]
+    assert calls == [stack.shape]
+
+
+def test_full_rank_dft_progression_stack_needs_no_svd(monkeypatch):
+    d = 12
+    nu = dft_matrix(d).numeric
+    # rows {s, s + 1, s + 2} on 5 consecutive columns: Vandermonde blocks of rank 3
+    stack = np.array([nu[np.ix_([s, s + 1, s + 2], range(5))] for s in range(d - 2)])
+    expected = _svd_ranks(stack)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("SVD called"))
+    assert _stack_svd_ranks(stack) == expected == [3] * (d - 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(st.floats(-14, 0), min_size=12, max_size=12),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_stack_ranks_match_svd_on_log_uniform_spectra(r, c, exponents, n, seed):
+    s = np.sort(10.0 ** np.array(exponents[: min(r, c)]))[::-1]
+    stack = _with_singular_values(np.random.default_rng(seed), n, (r, c), s)
+    assert _stack_svd_ranks(stack) == _svd_ranks(stack)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
