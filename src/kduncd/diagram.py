@@ -51,8 +51,11 @@ per-call overhead.
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
-same lex order.  The screen computes the uncached base ranks as one stack
-on every engine.
+same lex order.  Shifting the rows rescales the columns, so the row sets
+of one rotation class share a rank: the screen keys and reads the cache
+once per class (``_screen``), computes the uncached classes as one stack
+on every engine, each on its lex-first member, and counts one request per
+row set.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -224,6 +227,38 @@ def _least_rotations(d: int) -> tuple[int, ...]:
     return tuple(least.tolist())
 
 
+class _Screen(NamedTuple):
+    """The row sets a search screens on each column set, in scan order, and
+    their rotation classes, in order of first member: each class's first
+    member, its bitmask, and the class of every row set."""
+
+    row_sets: list[tuple[int, ...]]
+    firsts: list[tuple[int, ...]]
+    masks: list[int]
+    index: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _screen(d: int, n_rows: int, dft: bool) -> _Screen:
+    """The DFT screens the row sets through 0 and classes them by least
+    cyclic rotation; another matrix screens every row set, each its own class."""
+    if dft:
+        row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
+    else:
+        row_sets = list(combinations(range(d), n_rows))
+    least = _least_rotations(d) if dft else None
+    classes: dict[int, int] = {}
+    firsts, masks, index = [], [], []
+    for rows in row_sets:
+        mask = _mask(rows)
+        label = classes.setdefault(mask if least is None else least[mask], len(firsts))
+        if label == len(firsts):
+            firsts.append(rows)
+            masks.append(mask)
+        index.append(label)
+    return _Screen(row_sets, firsts, masks, np.array(index, dtype=np.intp))
+
+
 class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
@@ -233,9 +268,11 @@ class _RankOracle:
     by s rescales the columns by unit roots, shifting columns rescales rows,
     and the matrix is symmetric, so all members of an orbit share one rank.
 
-    ``base_ranks`` answers one column set against many row sets and computes
-    the ranks it lacks as one stack, on every engine; ``rank_of`` is its
-    one-row case, for the single blocks of conditions (ii) and (iii).
+    ``base_ranks`` answers one column set against a ``_Screen``'s row sets:
+    it keys and reads the cache once per rotation class and computes the
+    classes it lacks as one stack, on every engine, but counts one request
+    per row set.  ``rank_of`` reads the cache directly, for the single
+    blocks of conditions (ii) and (iii).
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -274,23 +311,26 @@ class _RankOracle:
         return ranks
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        return self.base_ranks((rows,), (_mask(rows),), cols)[0]
+        key = self._keys((_mask(rows),), _mask(cols))[0]
+        self.requests += 1
+        found = self._ranks.get(key)
+        if found is None:
+            self.computed += 1
+            found = self._ranks[key] = self._compute([rows], cols)[0]
+        return found
 
-    def base_ranks(self, row_sets, row_masks, cols: tuple[int, ...]) -> list[int]:
-        """Rank on ``cols`` of each row set, in order, one request each;
-        ``row_masks`` holds the row sets' bitmasks.  The ranks not cached
-        yet are computed as one stack."""
-        keys = self._keys(row_masks, _mask(cols))
-        self.requests += len(keys)
+    def base_ranks(self, screen: _Screen, cols: tuple[int, ...]) -> np.ndarray:
+        """Rank on ``cols`` of each of the screen's row sets, in order, one
+        request each.  A class not cached yet is ranked on its first member,
+        all such classes as one stack."""
+        keys = self._keys(screen.masks, _mask(cols))
+        self.requests += len(screen.row_sets)
         ranks = self._ranks
-        todo: dict[int, tuple[int, ...]] = {}
-        for key, rows in zip(keys, row_sets):
-            if key not in ranks:
-                todo.setdefault(key, rows)
+        todo = {key: rows for key, rows in zip(keys, screen.firsts) if key not in ranks}
         if todo:
             self.computed += len(todo)
             ranks.update(zip(todo, self._compute(list(todo.values()), cols)))
-        return [ranks[key] for key in keys]
+        return np.array([ranks[key] for key in keys])[screen.index]
 
 
 def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
@@ -495,17 +535,15 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     if dft and n_a + n_b > d:
         rows, cols = tuple(range(n_rows)), tuple(range(n_b))
         return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
-    if dft:
-        row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
-    else:
-        row_sets = list(combinations(range(d), n_rows))
+    screen = _screen(d, n_rows, dft)
     col_sets = _column_orbits(d, n_b) if dft else list(combinations(range(d), n_b))
-    row_masks = [_mask(rows) for rows in row_sets]
     for cols in col_sets:
-        for rows, base in zip(row_sets, oracle.base_ranks(row_sets, row_masks, cols)):
-            if base < n_b and _conditions_ii_iii(oracle.rank_of, d, rows, cols, base):
+        ranks = oracle.base_ranks(screen, cols)
+        for i in np.flatnonzero(ranks < n_b):
+            rows = screen.row_sets[i]
+            if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
                 return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
-    note = f"exhausted {len(col_sets) * len(row_sets)} candidates"
+    note = f"exhausted {len(col_sets) * len(screen.row_sets)} candidates"
     return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 
 

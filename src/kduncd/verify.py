@@ -59,6 +59,9 @@ _COSET_SAMPLES = 20
 # block's KD tables to a few MB.
 _WITNESS_BLOCK = 1024
 
+# Most matrix entries L3 ranks in one SVD stack.
+_LEMMA3_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class VerifyRow:
@@ -230,7 +233,8 @@ def lemma3_check(d: int) -> tuple[int, int]:
     For every divisor m of d (m != d), row blocks i0, i0+m, ..., i0+(t-1)m
     with t <= d/m, and every column set with distinct residues modulo d/m,
     the submatrix of the DFT must have rank min(s, t).  Returns
-    (instances checked, violations).
+    (instances checked, violations).  Each SVD stack holds at most 2^14
+    matrix entries, or one column set's d submatrices if they hold more.
     """
     idx = np.arange(d)
     w = dft_matrix(d).numeric
@@ -251,11 +255,13 @@ def lemma3_check(d: int) -> tuple[int, int]:
             row_block = (idx[:, None] + m * np.arange(t)[None, :]) % d  # (d, t)
             for s, sets_s in col_sets_by_size.items():
                 cols = np.array(sets_s, dtype=int)  # (K, s)
-                subs = w[row_block[:, None, :, None], cols[None, :, None, :]]
-                subs = subs.reshape(d * cols.shape[0], t, s)
-                ranks = svd_rank(np.linalg.svd(subs, compute_uv=False), max(t, s))
-                checked += subs.shape[0]
-                violations += int(np.sum(ranks != min(t, s)))
+                step = max(1, _LEMMA3_CHUNK // (d * t * s))  # column sets per stack
+                for start in range(0, len(cols), step):
+                    chunk = cols[None, start : start + step, None, :]
+                    subs = w[row_block[:, None, :, None], chunk].reshape(-1, t, s)
+                    ranks = svd_rank(np.linalg.svd(subs, compute_uv=False), max(t, s))
+                    checked += subs.shape[0]
+                    violations += int(np.sum(ranks != min(t, s)))
     return checked, violations
 
 

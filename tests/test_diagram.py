@@ -48,6 +48,7 @@ from kduncd.diagram import (
     _mirrored_point,
     _RankOracle,
     _resolve_engine,
+    _screen,
     _witness_block,
 )
 from kduncd.linalg import svd_rank
@@ -577,6 +578,55 @@ def test_orbit_members_share_key_and_rank(d):
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
+def _check_screen(u, engine, rng):
+    """A search's screen of each row count: its rotation classes partition
+    its row sets, and its base ranks are the per-row-set ranks."""
+    d = u.d
+    dft = u.kind is TransitionKind.DFT
+    least = _least_rotations(d)
+    for n_rows in range(1 if dft else 0, d):
+        screen = _screen(d, n_rows, dft)
+        if dft:
+            assert screen.row_sets == [r for r in combinations(range(d), n_rows) if 0 in r]
+        else:
+            assert screen.row_sets == list(combinations(range(d), n_rows))
+        index = screen.index.tolist()
+        assert len(index) == len(screen.row_sets)
+        assert sorted(set(index)) == list(range(len(screen.firsts)))
+        rotations = set()
+        for label, first in enumerate(screen.firsts):
+            members = [rows for rows, c in zip(screen.row_sets, index) if c == label]
+            assert first == min(members) == members[0]
+            assert screen.masks[label] == _mask(first)
+            if dft:
+                assert {least[_mask(rows)] for rows in members} == {least[_mask(first)]}
+            else:
+                assert members == [first]
+            rotations.add(least[_mask(first)] if dft else first)
+        assert len(rotations) == len(screen.firsts)
+        oracle, singles = _RankOracle(u, engine), _RankOracle(u, engine)
+        for _ in range(3):
+            cols = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
+            before = oracle.requests
+            ranks = oracle.base_ranks(screen, cols)
+            assert oracle.requests - before == len(screen.row_sets)
+            assert ranks.tolist() == [singles.rank_of(rows, cols) for rows in screen.row_sets]
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+@pytest.mark.parametrize("d", range(2, 11))
+def test_screen_ranks_each_rotation_class_once(d, engine):
+    # a row shift rescales the columns, so the DFT screen keys, reads and
+    # ranks each rotation class of row sets once, on its lex-first member,
+    # and still counts one request per row set
+    _check_screen(dft_matrix(d), engine, random.Random(d))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_screen_of_another_matrix_has_one_class_per_row_set(seed):
+    _check_screen(random_mub_pair(6, seed=seed), "numeric", random.Random(seed))
+
+
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
 @pytest.mark.parametrize("d", range(1, 11))
 def test_searched_holes_count_every_candidate(d, engine, diagram_cache):
@@ -608,7 +658,7 @@ def test_exact_and_numeric_diagrams_agree(d, diagram_cache):
     }
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", range(1, 13))
 def test_engines_share_rank_counters(d, diagram_cache):
     # every engine screens each column set eagerly through one code path,
     # so requests and computed ranks do not depend on the engine
@@ -617,7 +667,13 @@ def test_engines_share_rank_counters(d, diagram_cache):
         for engine in ("numeric", "exact", "both")
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
-    pinned = {8: (955, 156), 9: (1668, 264), 10: (6537, 911)}
+    pinned = {
+        8: (955, 156),
+        9: (1668, 264),
+        10: (6537, 911),
+        11: (11554, 1600),
+        12: (39472, 4743),
+    }
     if d in pinned:
         stats = counters["exact"]
         assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]

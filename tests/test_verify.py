@@ -1,11 +1,14 @@
-"""Theorem 4's block witness check and Theorem 5's count of skipped states."""
+"""Theorem 4's block witness check, Theorem 5's count of skipped states and
+Lemma 3's memory bound."""
+
+import tracemalloc
 
 import pytest
 
 import kduncd.kd as kd_mod
 import kduncd.verify as verify_mod
 from kduncd import CosetSpec, Verdict, coset_classical_state
-from kduncd.verify import verify_theorem4, verify_theorem5
+from kduncd.verify import lemma3_check, verify_theorem4, verify_theorem5
 
 
 def _shares(diagram_cache, d: int, samples: int) -> dict:
@@ -92,3 +95,15 @@ def test_theorem5_counts_the_states_it_skips(monkeypatch, d, skipped):
     assert row.passed
     assert row.detail == "20 pairs x 100 states" + (f", {skipped} skipped" if skipped else "")
     assert len(classified) + skipped == 20 * 100
+
+
+def test_lemma3_check_ranks_in_small_stacks():
+    # SVD stacks of at most 2^14 entries bound the memory of the d=10 check
+    # without changing its counts
+    tracemalloc.start()
+    try:
+        assert lemma3_check(10) == (115100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
