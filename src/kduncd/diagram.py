@@ -52,10 +52,12 @@ Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
 same lex order.  Shifting the rows rescales the columns, so the row sets
-of one rotation class share a rank: the screen keys and reads the cache
-once per class (``_screen``), computes the uncached classes as one stack
-on every engine, each on its lex-first member, and counts one request per
-row set.
+of one rotation class pass or fail all three conditions together: the
+screen (``_screen``) holds each class's lex-first member, ranks the
+uncached classes as one stack on every engine, and (ii) and (iii) run on
+those members only.  The first member of the first certifying class is the
+lex-first certifying row set, so the certificate is the full scan's.
+Requests are still counted one per row set.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -85,7 +87,7 @@ from .linalg import (
     _stack_svd_ranks,
     rank,
 )
-from .states import _subspace_sampler
+from .states import _index, _subspace_sampler
 
 __all__ = [
     "DiagramPoint",
@@ -215,64 +217,53 @@ def _mask(indices) -> int:
     return sum(map((1).__lshift__, indices))
 
 
-@lru_cache(maxsize=None)
-def _least_rotations(d: int) -> tuple[int, ...]:
-    """Least cyclic rotation of every subset of Z_d, as bitmasks indexed by
-    the subset's bitmask."""
-    masks = np.arange(1 << d, dtype=np.int64)
-    full = (1 << d) - 1
-    least = masks
-    for k in range(1, d):
-        least = np.minimum(least, ((masks << k) | (masks >> (d - k))) & full)
-    return tuple(least.tolist())
+def _least_rotation(d: int, mask: int) -> int:
+    """Least cyclic rotation of the subset of Z_d with bitmask ``mask``."""
+    full, twice = (1 << d) - 1, mask << d | mask
+    return min(twice >> k & full for k in range(d))
 
 
 class _Screen(NamedTuple):
-    """The row sets a search screens on each column set, in scan order, and
-    their rotation classes, in order of first member: each class's first
-    member, its bitmask, and the class of every row set."""
+    """The rotation classes of the row sets a search screens on each column
+    set, in order of first member: each class's lex-first member, its row
+    key, and how many row sets the classes stand for."""
 
-    row_sets: list[tuple[int, ...]]
     firsts: list[tuple[int, ...]]
-    masks: list[int]
-    index: np.ndarray
+    keys: list[int]
+    size: int
 
 
 @lru_cache(maxsize=None)
 def _screen(d: int, n_rows: int, dft: bool) -> _Screen:
-    """The DFT screens the row sets through 0 and classes them by least
-    cyclic rotation; another matrix screens every row set, each its own class."""
+    """The DFT screens the row sets through 0, classed and keyed by least
+    cyclic rotation; another matrix screens every row set, keyed by its mask."""
     if dft:
         row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     else:
         row_sets = list(combinations(range(d), n_rows))
-    least = _least_rotations(d) if dft else None
-    classes: dict[int, int] = {}
-    firsts, masks, index = [], [], []
+    classes: dict[int, tuple[int, ...]] = {}
     for rows in row_sets:
         mask = _mask(rows)
-        label = classes.setdefault(mask if least is None else least[mask], len(firsts))
-        if label == len(firsts):
-            firsts.append(rows)
-            masks.append(mask)
-        index.append(label)
-    return _Screen(row_sets, firsts, masks, np.array(index, dtype=np.intp))
+        classes.setdefault(_least_rotation(d, mask) if dft else mask, rows)
+    return _Screen(list(classes.values()), list(classes), len(row_sets))
 
 
 class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
     The cache key packs the row and column bitmasks into one int.  For the
-    DFT each mask is first replaced by its least cyclic rotation, from a
-    table built on the first key, and the pair put in order: shifting rows
-    by s rescales the columns by unit roots, shifting columns rescales rows,
-    and the matrix is symmetric, so all members of an orbit share one rank.
+    DFT each mask is first replaced by its least cyclic rotation and the
+    pair put in order: shifting rows by s rescales the columns by unit
+    roots, shifting columns rescales rows, and the matrix is symmetric, so
+    all members of an orbit share one rank.
 
-    ``base_ranks`` answers one column set against a ``_Screen``'s row sets:
-    it keys and reads the cache once per rotation class and computes the
-    classes it lacks as one stack, on every engine, but counts one request
-    per row set.  ``rank_of`` reads the cache directly, for the single
-    blocks of conditions (ii) and (iii).
+    ``base_ranks`` answers one column set against a ``_Screen``'s classes:
+    it keys and reads the cache once per class and computes the classes it
+    lacks as one stack, on every engine.  It counts one request per row set,
+    not per class: ``perfbench/tests/test_perfbench.py`` asserts more
+    requests than computed ranks at d=5, where the class counts tie.
+    ``rank_of`` reads the cache directly, for the single blocks of
+    conditions (ii) and (iii).
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -284,17 +275,14 @@ class _RankOracle:
         self._dft = u.kind is TransitionKind.DFT
         self._numeric = u.numeric
 
-    @cached_property
-    def _least(self) -> tuple[int, ...] | None:
-        return _least_rotations(self.d) if self._dft else None
-
-    def _keys(self, row_masks, cmask: int) -> list[int]:
+    def _keys(self, row_keys, cols: tuple[int, ...]) -> list[int]:
+        """Cache keys of ``cols`` against row keys made as ``_screen`` makes them."""
         d = self.d
-        least = self._least
-        if least is None:
-            return [r << d | cmask for r in row_masks]
-        c = least[cmask]
-        return [r << d | c if r <= c else c << d | r for r in map(least.__getitem__, row_masks)]
+        c = _mask(cols)
+        if not self._dft:
+            return [r << d | c for r in row_keys]
+        c = _least_rotation(d, c)
+        return [r << d | c if r <= c else c << d | r for r in row_keys]
 
     def _compute(self, row_sets, cols: tuple[int, ...]) -> list[int]:
         """Rank on ``cols`` of each row set.  Engine ``both`` computes both
@@ -311,7 +299,8 @@ class _RankOracle:
         return ranks
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        key = self._keys((_mask(rows),), _mask(cols))[0]
+        mask = _mask(rows)
+        key = self._keys((_least_rotation(self.d, mask) if self._dft else mask,), cols)[0]
         self.requests += 1
         found = self._ranks.get(key)
         if found is None:
@@ -320,17 +309,17 @@ class _RankOracle:
         return found
 
     def base_ranks(self, screen: _Screen, cols: tuple[int, ...]) -> np.ndarray:
-        """Rank on ``cols`` of each of the screen's row sets, in order, one
-        request each.  A class not cached yet is ranked on its first member,
-        all such classes as one stack."""
-        keys = self._keys(screen.masks, _mask(cols))
-        self.requests += len(screen.row_sets)
+        """Rank on ``cols`` of each of the screen's classes, in order, one
+        request per row set.  A class not cached yet is ranked on its first
+        member, all such classes as one stack."""
+        keys = self._keys(screen.keys, cols)
+        self.requests += screen.size
         ranks = self._ranks
         todo = {key: rows for key, rows in zip(keys, screen.firsts) if key not in ranks}
         if todo:
             self.computed += len(todo)
             ranks.update(zip(todo, self._compute(list(todo.values()), cols)))
-        return np.array([ranks[key] for key in keys])[screen.index]
+        return np.array([ranks[key] for key in keys])
 
 
 def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
@@ -442,8 +431,8 @@ def check_submatrix_conditions(
     case.  The audit is ``_audit``'s one-selection case.
     """
     d = u.d
-    rows = tuple(sorted(int(r) for r in rows))
-    cols = tuple(sorted(int(c) for c in cols))
+    rows = tuple(sorted(map(_index, rows)))
+    cols = tuple(sorted(map(_index, cols)))
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("duplicate indices")
     if rows and (rows[0] < 0 or rows[-1] >= d):
@@ -540,10 +529,10 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     for cols in col_sets:
         ranks = oracle.base_ranks(screen, cols)
         for i in np.flatnonzero(ranks < n_b):
-            rows = screen.row_sets[i]
+            rows = screen.firsts[i]
             if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
                 return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
-    note = f"exhausted {len(col_sets) * len(screen.row_sets)} candidates"
+    note = f"exhausted {len(col_sets) * screen.size} candidates"
     return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 
 

@@ -9,6 +9,7 @@ and an everywhere nonnegative KD table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,14 @@ def random_state_in_subspace(
     return StateVector(d=u.d, amps_a=amps, norm=1.0)
 
 
+def _index(v) -> int:
+    """``v`` as an int, never rounded or parsed; raises ValueError otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"index {v!r} is not an integer") from None
+
+
 def _subspace_sampler(u: TransitionMatrix, s_set, t_set):
     """``draw(rng, count)``: ``count`` random unit states, as rows of A
     amplitudes, in the subspace with A-support inside ``s_set`` and B-support
@@ -82,8 +91,8 @@ def _subspace_sampler(u: TransitionMatrix, s_set, t_set):
     normalized.
     """
     d = u.d
-    s = sorted(set(int(i) for i in s_set))
-    t = sorted(set(int(j) for j in t_set))
+    s = sorted(set(map(_index, s_set)))
+    t = sorted(set(map(_index, t_set)))
     if not s or not t:
         raise ValueError("support sets must be nonempty")
     if s[0] < 0 or s[-1] >= d or t[0] < 0 or t[-1] >= d:

@@ -30,6 +30,7 @@ from kduncd import (
     predict_theorem2,
     predict_theorem3,
     random_mub_pair,
+    random_state_in_subspace,
     rank,
     save_diagram,
     support_profile,
@@ -43,7 +44,7 @@ from kduncd.diagram import (
     _conditions_hold,
     _dft_block,
     _find_point,
-    _least_rotations,
+    _least_rotation,
     _mask,
     _mirrored_point,
     _RankOracle,
@@ -181,6 +182,19 @@ def test_conditions_validate_indices():
         check_submatrix_conditions(dft_matrix(4), [0], [])
     with pytest.raises(ValueError):
         check_submatrix_conditions(dft_matrix(4), [0], [4])
+
+
+@pytest.mark.parametrize("check", [check_submatrix_conditions, random_state_in_subspace])
+@pytest.mark.parametrize("bad", [1.5, 0.9, "1", 1.0, None])
+def test_non_integer_indices_are_rejected(check, bad):
+    # an index goes through operator.index, never rounded or parsed
+    u = dft_matrix(6)
+    for rows, cols in (([bad], [0, 3]), (range(5), [0, bad])):
+        with pytest.raises(ValueError, match=f"index {bad!r} is not an integer"):
+            check(u, rows, cols)
+    # Python and numpy integers keep working: rows {0, ..., 4} on columns
+    # {0, 3} leave a one-dimensional subspace to sample
+    check(u, [0, 1, 2, np.int64(3), 4], [np.intp(0), 3])
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +431,10 @@ def test_point_search_gives_the_diagram_certificates(d, diagram_cache):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_least_rotations_match_brute_force(d):
-    table = _least_rotations(d)
-    assert len(table) == 1 << d
     for mask in range(1 << d):
         members = [x for x in range(d) if mask >> x & 1]
-        assert table[mask] == min(_mask((x + s) % d for x in members) for s in range(d))
+        want = min(_mask((x + s) % d for x in members) for s in range(d))
+        assert _least_rotation(d, mask) == want
 
 
 @pytest.mark.parametrize(
@@ -544,23 +557,12 @@ def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
     assert point_exists(u, 5, 2, engine="exact").status is PointStatus.PRESENT
 
 
-def test_closed_form_point_builds_no_rotation_table():
-    _least_rotations.cache_clear()
-    point = point_exists(dft_matrix(13), 5, 10, engine="exact", allow_large=True)
-    assert point.status is PointStatus.PRESENT
-    assert _least_rotations.cache_info().currsize == 0
-    # a searched point builds it on its first rank request
-    assert point_exists(dft_matrix(6), 2, 3).status is PointStatus.PRESENT
-    assert _least_rotations.cache_info().currsize == 1
-
-
 @pytest.mark.parametrize("d", range(2, 13))
 def test_orbit_members_share_key_and_rank(d):
     # every row shift, every column shift and the transpose of a selection
     # get its cache key, and both engines give them all one rank
     rng = random.Random(d)
     u = dft_matrix(d)
-    oracle = _RankOracle(u, "both")
     engines = [_RankOracle(u, engine) for engine in ("exact", "numeric")]
 
     def shift(xs, s):
@@ -572,45 +574,49 @@ def test_orbit_members_share_key_and_rank(d):
         members = [(shift(rows, s), cols) for s in range(d)]
         members += [(rows, shift(cols, s)) for s in range(d)]
         members.append((shift(cols, 1), shift(rows, 2)))
-        keys = {oracle._keys((_mask(r),), _mask(c))[0] for r, c in members}
-        assert len(keys) == 1
+        oracle = _RankOracle(u, "both")
+        for r, c in members:
+            oracle.rank_of(r, c)
+        assert (oracle.requests, oracle.computed, len(oracle._ranks)) == (len(members), 1, 1)
         ranks = {e._compute([r], c)[0] for r, c in members for e in engines}
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
 def _check_screen(u, engine, rng):
     """A search's screen of each row count: its rotation classes partition
-    its row sets, and its base ranks are the per-row-set ranks."""
+    its row sets, each led by its lex-first member and keyed by the least
+    rotation all its members share, and every member has its class's base
+    rank, so (ii) and (iii) need only the first members."""
     d = u.d
     dft = u.kind is TransitionKind.DFT
-    least = _least_rotations(d)
+
+    def members(first):
+        if not dft:
+            return [first]
+        shifted = {tuple(sorted((x + s) % d for x in first)) for s in range(d)}
+        return sorted(rows for rows in shifted if 0 in rows)
+
     for n_rows in range(1 if dft else 0, d):
         screen = _screen(d, n_rows, dft)
-        if dft:
-            assert screen.row_sets == [r for r in combinations(range(d), n_rows) if 0 in r]
-        else:
-            assert screen.row_sets == list(combinations(range(d), n_rows))
-        index = screen.index.tolist()
-        assert len(index) == len(screen.row_sets)
-        assert sorted(set(index)) == list(range(len(screen.firsts)))
-        rotations = set()
-        for label, first in enumerate(screen.firsts):
-            members = [rows for rows, c in zip(screen.row_sets, index) if c == label]
-            assert first == min(members) == members[0]
-            assert screen.masks[label] == _mask(first)
+        row_sets = [r for r in combinations(range(d), n_rows) if 0 in r or not dft]
+        assert screen.size == len(row_sets)
+        assert screen.firsts == sorted(screen.firsts)
+        assert sorted(rows for first in screen.firsts for rows in members(first)) == row_sets
+        for first, key in zip(screen.firsts, screen.keys, strict=True):
+            assert first == members(first)[0]
             if dft:
-                assert {least[_mask(rows)] for rows in members} == {least[_mask(first)]}
+                assert {_least_rotation(d, _mask(rows)) for rows in members(first)} == {key}
             else:
-                assert members == [first]
-            rotations.add(least[_mask(first)] if dft else first)
-        assert len(rotations) == len(screen.firsts)
-        oracle, singles = _RankOracle(u, engine), _RankOracle(u, engine)
+                assert key == _mask(first)
+        oracle = _RankOracle(u, engine)
         for _ in range(3):
             cols = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
             before = oracle.requests
             ranks = oracle.base_ranks(screen, cols)
-            assert oracle.requests - before == len(screen.row_sets)
-            assert ranks.tolist() == [singles.rank_of(rows, cols) for rows in screen.row_sets]
+            assert oracle.requests - before == screen.size
+            every = dict(zip(row_sets, oracle._compute(row_sets, cols)))
+            for first, base in zip(screen.firsts, ranks.tolist(), strict=True):
+                assert {every[rows] for rows in members(first)} == {base}
 
 
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
@@ -668,11 +674,11 @@ def test_engines_share_rank_counters(d, diagram_cache):
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
     pinned = {
-        8: (955, 156),
-        9: (1668, 264),
-        10: (6537, 911),
+        8: (873, 156),
+        9: (1588, 264),
+        10: (5849, 911),
         11: (11554, 1600),
-        12: (39472, 4743),
+        12: (36671, 4715),
     }
     if d in pinned:
         stats = counters["exact"]
@@ -694,11 +700,10 @@ def test_enumerate_rejects_oversized_exact(diagram_cache):
 
 
 def test_d40_half_plane_point_is_certified_exactly_unsearched():
-    # Corollary 1 at d=40: auto audits the closed form on the exact engine
-    # and builds no 2^40 rotation table; the numeric engine misjudges one of
-    # its blocks, and the failed audit raises instead of searching
+    # Corollary 1 at d=40: auto audits the closed form on the exact engine;
+    # the numeric engine misjudges one of its blocks, and the failed audit
+    # raises instead of searching
     u = dft_matrix(40)
-    _least_rotations.cache_clear()
     point = point_exists(u, 20, 21, allow_large=True)
     assert point.status is PointStatus.PRESENT
     cert = point.certificate
@@ -706,10 +711,22 @@ def test_d40_half_plane_point_is_certified_exactly_unsearched():
     audit = [cert.base] + [c for _, c in cert.added + cert.removed]
     assert len(audit) == 1 + 20 + 21
     assert {c.engine for c in audit} == {"exact"}
-    assert _least_rotations.cache_info().currsize == 0
     with pytest.raises(RuntimeError, match=r"\(20, 21\) fails the numeric audit"):
         point_exists(u, 20, 21, engine="numeric", allow_large=True)
-    assert _least_rotations.cache_info().currsize == 0
+
+
+def test_d40_searched_points_fit_in_memory():
+    # a searched point keys its ranks mask by mask, with no table of all
+    # 2^40 subsets: no 1 x 1 block of the DFT vanishes, so (39, 1) is a
+    # Hole, and rows {0, 20} read 1, 1 on columns {0, 2}, so they certify
+    # (38, 2)
+    u = dft_matrix(40)
+    hole = point_exists(u, 39, 1, allow_large=True)
+    assert hole.status is PointStatus.HOLE
+    for engine in ("exact", "numeric"):
+        point = point_exists(u, 38, 2, engine=engine, allow_large=True)
+        assert point.status is PointStatus.PRESENT
+        assert (point.certificate.rows, point.certificate.cols) == ((0, 20), (0, 2))
 
 
 @pytest.mark.slow
