@@ -53,11 +53,14 @@ the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
 same lex order.  Shifting the rows rescales the columns, so the row sets
 of one rotation class pass or fail all three conditions together: the
-screen (``_screen``) holds each class's lex-first member, ranks the
-uncached classes as one stack on every engine, and (ii) and (iii) run on
-those members only.  The first member of the first certifying class is the
-lex-first certifying row set, so the certificate is the full scan's.
-Requests are still counted one per row set.
+screen (``_screen``) holds each class's lex-first member, and (ii) and
+(iii) run on those members only.  The first member of the first certifying
+class is the lex-first certifying row set, so the certificate is the full
+scan's.  Requests are still counted one per row set.  The column sets are
+screened in chunks of 1, 2, 4, ... of them, up to ``_SCREEN_ENTRIES``
+matrix entries, and the uncached classes of a chunk are ranked as one
+stack on every engine; (ii) and (iii) still run column set by column set,
+so a chunk moves no certificate.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ NUMERIC_DIMENSION_LIMIT = 12
 
 # Rounds of fresh nullspace samples a witness block draws before it gives up.
 _WITNESS_TRIES = 64
+
+# Matrix entries of one chunk of the condition-(i) screen: classes x rows x
+# columns x column sets.  A stack per column set is mostly numpy's per-call
+# overhead, so the search screens 1, 2, 4, ... column sets at once, up to
+# this cap.  Uncapped doubling takes a d=16 numeric search from about 47 to
+# 103 MB of peak memory, and a cap of 2^14 adds about 0.7 MB (1.6%) to the
+# peak of d=11,12 numeric diagrams, with no faster search; 2^12 adds 0.2%.
+_SCREEN_ENTRIES = 1 << 12
 
 
 class PointStatus(str, Enum):
@@ -223,6 +234,13 @@ def _least_rotation(d: int, mask: int) -> int:
     return min(twice >> k & full for k in range(d))
 
 
+def _set_key(d: int, dft: bool, indices) -> int:
+    """Rank-cache key of a row or column set: its least cyclic rotation on
+    the DFT, its bitmask on another matrix."""
+    mask = _mask(indices)
+    return _least_rotation(d, mask) if dft else mask
+
+
 class _Screen(NamedTuple):
     """The rotation classes of the row sets a search screens on each column
     set, in order of first member: each class's lex-first member, its row
@@ -243,8 +261,7 @@ def _screen(d: int, n_rows: int, dft: bool) -> _Screen:
         row_sets = list(combinations(range(d), n_rows))
     classes: dict[int, tuple[int, ...]] = {}
     for rows in row_sets:
-        mask = _mask(rows)
-        classes.setdefault(_least_rotation(d, mask) if dft else mask, rows)
+        classes.setdefault(_set_key(d, dft, rows), rows)
     return _Screen(list(classes.values()), list(classes), len(row_sets))
 
 
@@ -257,11 +274,12 @@ class _RankOracle:
     roots, shifting columns rescales rows, and the matrix is symmetric, so
     all members of an orbit share one rank.
 
-    ``base_ranks`` answers one column set against a ``_Screen``'s classes:
-    it keys and reads the cache once per class and computes the classes it
-    lacks as one stack, on every engine.  It counts one request per row set,
-    not per class: ``perfbench/tests/test_perfbench.py`` asserts more
-    requests than computed ranks at d=5, where the class counts tie.
+    ``base_ranks`` answers a chunk of column sets against a ``_Screen``'s
+    classes: it keys and reads the cache once per class and column set and
+    computes the distinct keys it lacks as one stack, on every engine.  It
+    counts one request per row set, not per class:
+    ``perfbench/tests/test_perfbench.py`` asserts more requests than
+    computed ranks at d=5, where the class counts tie.
     ``rank_of`` reads the cache directly, for the single blocks of
     conditions (ii) and (iii).
     """
@@ -275,51 +293,59 @@ class _RankOracle:
         self._dft = u.kind is TransitionKind.DFT
         self._numeric = u.numeric
 
+    def _key(self, row_key: int, col_key: int) -> int:
+        """Cache key of a block from its row and column keys, the pair put in
+        order on the DFT."""
+        if self._dft and col_key < row_key:
+            return col_key << self.d | row_key
+        return row_key << self.d | col_key
+
     def _keys(self, row_keys, cols: tuple[int, ...]) -> list[int]:
         """Cache keys of ``cols`` against row keys made as ``_screen`` makes them."""
-        d = self.d
-        c = _mask(cols)
-        if not self._dft:
-            return [r << d | c for r in row_keys]
-        c = _least_rotation(d, c)
-        return [r << d | c if r <= c else c << d | r for r in row_keys]
+        col_key, key = _set_key(self.d, self._dft, cols), self._key
+        return [key(r, col_key) for r in row_keys]
 
-    def _compute(self, row_sets, cols: tuple[int, ...]) -> list[int]:
-        """Rank on ``cols`` of each row set.  Engine ``both`` computes both
-        and raises on the first block, in order, where they differ."""
+    def _compute(self, blocks) -> list[int]:
+        """Rank of each (rows, cols) block, all of one shape.  Engine ``both``
+        computes both and raises on the first block, in order, where they
+        differ."""
         if self.engine == ENGINE_NUMERIC:
-            return _numeric_block_ranks(self._numeric, row_sets, cols)
-        if len(row_sets) == 1:
-            ranks = [rank(_dft_block(self.d, row_sets[0], cols), order=self.d).rank]
+            return _numeric_block_ranks(self._numeric, *zip(*blocks))
+        if len(blocks) == 1:
+            ranks = [rank(_dft_block(self.d, *blocks[0]), order=self.d).rank]
         else:
-            ranks = _exact_block_ranks(self.d, [(rows, cols) for rows in row_sets])[0]
+            ranks = _exact_block_ranks(self.d, blocks)[0]
         if self.engine == ENGINE_BOTH:
-            numeric = _numeric_block_ranks(self._numeric, row_sets, cols)
-            _check_agreement(((rows, cols) for rows in row_sets), ranks, numeric)
+            _check_agreement(blocks, ranks, _numeric_block_ranks(self._numeric, *zip(*blocks)))
         return ranks
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        mask = _mask(rows)
-        key = self._keys((_least_rotation(self.d, mask) if self._dft else mask,), cols)[0]
+        d, dft = self.d, self._dft
+        key = self._key(_set_key(d, dft, rows), _set_key(d, dft, cols))
         self.requests += 1
         found = self._ranks.get(key)
         if found is None:
             self.computed += 1
-            found = self._ranks[key] = self._compute([rows], cols)[0]
+            found = self._ranks[key] = self._compute([(rows, cols)])[0]
         return found
 
-    def base_ranks(self, screen: _Screen, cols: tuple[int, ...]) -> np.ndarray:
-        """Rank on ``cols`` of each of the screen's classes, in order, one
-        request per row set.  A class not cached yet is ranked on its first
-        member, all such classes as one stack."""
-        keys = self._keys(screen.keys, cols)
-        self.requests += screen.size
+    def base_ranks(self, screen: _Screen, col_sets) -> list[np.ndarray]:
+        """Rank on each column set of each of the screen's classes, in order,
+        one request per row set and column set.  The keys not cached yet are
+        ranked as one stack, each on its class's first member and the first
+        column set that needs it."""
+        keys = [self._keys(screen.keys, cols) for cols in col_sets]
+        self.requests += screen.size * len(col_sets)
         ranks = self._ranks
-        todo = {key: rows for key, rows in zip(keys, screen.firsts) if key not in ranks}
+        todo: dict[int, tuple] = {}
+        for cols, row in zip(col_sets, keys):
+            for key, rows in zip(row, screen.firsts):
+                if key not in ranks:
+                    todo.setdefault(key, (rows, cols))
         if todo:
             self.computed += len(todo)
-            ranks.update(zip(todo, self._compute(list(todo.values()), cols)))
-        return np.array([ranks[key] for key in keys])
+            ranks.update(zip(todo, self._compute(list(todo.values()))))
+        return [np.array([ranks[key] for key in row]) for row in keys]
 
 
 def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
@@ -514,8 +540,10 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     A DFT point in the half-plane (n_a + n_b > d) is Present with rows
     range(d - n_a) by columns range(n_b) (any rows on those columns, or columns
     on those rows, span full-rank Vandermonde blocks), unsearched.  DFT
-    column sets run in ``_column_orbits`` order, others in lex.  A Present
-    certificate holds the selection only; ``_audited`` audits it."""
+    column sets run in ``_column_orbits`` order, others in lex, screened for
+    (i) in chunks of 1, 2, 4, ... column sets up to ``_SCREEN_ENTRIES``
+    matrix entries, never fewer than one.  A Present certificate holds the
+    selection only; ``_audited`` audits it."""
     d = u.d
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
@@ -526,12 +554,17 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
         return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
     screen = _screen(d, n_rows, dft)
     col_sets = _column_orbits(d, n_b) if dft else list(combinations(range(d), n_b))
-    for cols in col_sets:
-        ranks = oracle.base_ranks(screen, cols)
-        for i in np.flatnonzero(ranks < n_b):
-            rows = screen.firsts[i]
-            if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
-                return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
+    cap = max(1, _SCREEN_ENTRIES // max(1, len(screen.keys) * n_rows * n_b))
+    start, size = 0, 1
+    while start < len(col_sets):
+        chunk = col_sets[start : start + size]
+        for cols, ranks in zip(chunk, oracle.base_ranks(screen, chunk)):
+            for i in np.flatnonzero(ranks < n_b):
+                rows = screen.firsts[i]
+                if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
+                    return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
+        start += len(chunk)
+        size = min(2 * size, cap)
     note = f"exhausted {len(col_sets) * screen.size} candidates"
     return DiagramPoint(n_a=n_a, n_b=n_b, status=PointStatus.HOLE, note=note)
 

@@ -22,10 +22,11 @@ after the first runs only on the blocks still short of full rank, and
 ``rank(a, order=d)`` is the one-block case.  The numeric engine counts
 singular values against a spectral-norm-relative threshold; its
 certificate carries that rank and threshold only, while an exact one
-carries the pivots of a nonzero minor.  A stack of numeric blocks skips
-the SVD when one Cholesky factorization of its shifted Gram matrices shows
-every block full rank with sigma_min about 1e-4 * sigma_max or more, far
-above the threshold (``_stack_svd_ranks``).
+carries the pivots of a nonzero minor.  In a stack of numeric blocks, a
+block skips the SVD when the Cholesky factorization of its shifted Gram
+matrix shows it full rank with sigma_min about 1e-4 * sigma_max or more,
+far above the threshold; one batched factorization tries every block, and
+one SVD ranks the blocks it fails on (``_stack_svd_ranks``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cyclotomic import cyclotomic_polynomial, divisors, is_prime
 
@@ -182,12 +184,14 @@ def _stack_svd_ranks(stack: np.ndarray) -> list[int]:
     """``svd_rank`` of each block of a nonempty same-shape complex stack, as a
     list.
 
-    A stack of two or more blocks is first certified full rank without an
-    SVD (for one block that saves nothing).  Each block A (r x c,
-    k = min(r, c), m = max(r, c)) gives its k x k Gram matrix G on the short
-    side, and one Cholesky factorization of the stack of G - delta * I,
-    delta = 1e-8 * trace(G), either succeeds, and every block has rank k,
-    or the whole stack goes to the SVD.
+    In a stack of two or more blocks each block is first certified full
+    rank without an SVD (for one block that saves nothing).  Each block A
+    (r x c, k = min(r, c), m = max(r, c)) gives its k x k Gram matrix G on
+    the short side, and one batched Cholesky factorization of the stack of
+    G - delta * I, delta = 1e-8 * trace(G), either succeeds on a block, which
+    then has rank k, or fills that block with NaN.  One SVD ranks the blocks
+    it failed on.  ``np.linalg.cholesky`` is the same gufunc, raising on any
+    failure instead.
 
     Success is a proof.  With u = 2^-53 and g(j) = j * u / (1 - j * u), the
     computed G is within g(m + 2) * |A|_F^2 of the exact one in the 2-norm
@@ -202,18 +206,18 @@ def _stack_svd_ranks(stack: np.ndarray) -> list[int]:
     all-zero block fails the factorization.
     """
     n, r, c = stack.shape
-    if n > 1:
-        a = stack if r <= c else stack.transpose(0, 2, 1)
-        gram = a @ a.conj().transpose(0, 2, 1)
-        diagonal = np.einsum("nii->ni", gram)
-        diagonal -= 1e-8 * np.einsum("nii->n", gram)[:, None]
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return [min(r, c)] * n
-    return svd_rank(np.linalg.svd(stack, compute_uv=False), max(r, c)).tolist()
+    if n == 1:
+        return svd_rank(np.linalg.svd(stack, compute_uv=False), max(r, c)).tolist()
+    a = stack if r <= c else stack.transpose(0, 2, 1)
+    gram = a @ a.conj().transpose(0, 2, 1)
+    diagonal = np.einsum("nii->ni", gram)
+    diagonal -= 1e-8 * np.einsum("nii->n", gram)[:, None]
+    with np.errstate(invalid="ignore"):
+        failed = np.isnan(_umath_linalg.cholesky_lo(gram, signature="D->D")[:, 0, 0])
+    ranks = np.full(n, min(r, c))
+    if failed.any():
+        ranks[failed] = svd_rank(np.linalg.svd(stack[failed], compute_uv=False), max(r, c))
+    return ranks.tolist()
 
 
 def rank(a, *, order: int | None = None) -> RankCertificate:

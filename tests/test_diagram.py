@@ -42,6 +42,7 @@ from kduncd.diagram import (
     _audited,
     _column_orbits,
     _conditions_hold,
+    _conditions_ii_iii,
     _dft_block,
     _find_point,
     _least_rotation,
@@ -578,7 +579,7 @@ def test_orbit_members_share_key_and_rank(d):
         for r, c in members:
             oracle.rank_of(r, c)
         assert (oracle.requests, oracle.computed, len(oracle._ranks)) == (len(members), 1, 1)
-        ranks = {e._compute([r], c)[0] for r, c in members for e in engines}
+        ranks = {e._compute([(r, c)])[0] for r, c in members for e in engines}
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
@@ -586,7 +587,9 @@ def _check_screen(u, engine, rng):
     """A search's screen of each row count: its rotation classes partition
     its row sets, each led by its lex-first member and keyed by the least
     rotation all its members share, and every member has its class's base
-    rank, so (ii) and (iii) need only the first members."""
+    rank, so (ii) and (iii) need only the first members.  A chunk of column
+    sets counts one request per row set and column set, and computes each
+    distinct key once."""
     d = u.d
     dft = u.kind is TransitionKind.DFT
 
@@ -609,12 +612,14 @@ def _check_screen(u, engine, rng):
             else:
                 assert key == _mask(first)
         oracle = _RankOracle(u, engine)
-        for _ in range(3):
-            cols = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
-            before = oracle.requests
-            ranks = oracle.base_ranks(screen, cols)
-            assert oracle.requests - before == screen.size
-            every = dict(zip(row_sets, oracle._compute(row_sets, cols)))
+        n_b = rng.randint(1, d)  # a chunk's column sets share their size
+        col_sets = [tuple(sorted(rng.sample(range(d), n_b))) for _ in range(3)]
+        col_sets.append(col_sets[0])  # a chunk may repeat a key
+        keys = {k for cols in col_sets for k in oracle._keys(screen.keys, cols)}
+        screened = oracle.base_ranks(screen, col_sets)
+        assert (oracle.requests, oracle.computed) == (len(col_sets) * screen.size, len(keys))
+        for cols, ranks in zip(col_sets, screened, strict=True):
+            every = dict(zip(row_sets, oracle._compute([(r, cols) for r in row_sets])))
             for first, base in zip(screen.firsts, ranks.tolist(), strict=True):
                 assert {every[rows] for rows in members(first)} == {base}
 
@@ -631,6 +636,59 @@ def test_screen_ranks_each_rotation_class_once(d, engine):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_screen_of_another_matrix_has_one_class_per_row_set(seed):
     _check_screen(random_mub_pair(6, seed=seed), "numeric", random.Random(seed))
+
+
+@pytest.mark.parametrize("engine", ["exact", "numeric"])
+def test_screen_chunks_hold_at_most_the_entry_cap(monkeypatch, engine):
+    # the search screens 1, 2, 4, ... column orbits at once, and no chunk of
+    # more than one orbit holds more than the cap of matrix entries
+    chunks = []
+    base_ranks = _RankOracle.base_ranks
+
+    def recorded(self, screen, col_sets):
+        entries = len(screen.keys) * len(screen.firsts[0]) * len(col_sets[0]) * len(col_sets)
+        chunks.append((len(col_sets), entries))
+        return base_ranks(self, screen, col_sets)
+
+    monkeypatch.setattr(_RankOracle, "base_ranks", recorded)
+    for d in range(1, 13):
+        enumerate_diagram(dft_matrix(d), engine=engine)
+    assert all(n == 1 or entries <= diagram._SCREEN_ENTRIES for n, entries in chunks)
+    assert {n for n, _ in chunks} >= {1, 2, 4, 8}
+
+
+def _one_orbit_at_a_time(u, oracle, n_a, n_b):
+    """The search's first certifying (rows, cols), screening one column set
+    per stack, or None after every candidate."""
+    d = u.d
+    dft = u.kind is TransitionKind.DFT
+    screen = _screen(d, d - n_a, dft)
+    for cols in _column_orbits(d, n_b) if dft else combinations(range(d), n_b):
+        ranks = oracle.base_ranks(screen, [cols])[0]
+        for i in np.flatnonzero(ranks < n_b):
+            rows = screen.firsts[i]
+            if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
+                return rows, cols
+    return None
+
+
+@pytest.mark.parametrize(
+    "u", [dft_matrix(d) for d in range(1, 13)] + [random_mub_pair(6, seed) for seed in (1, 2)]
+)
+def test_chunked_screen_matches_the_one_orbit_scan(u):
+    # chunks change how many orbits one stack screens, never which
+    # candidate certifies first
+    d = u.d
+    dft = u.kind is TransitionKind.DFT
+    chunked, single = _RankOracle(u, "numeric"), _RankOracle(u, "numeric")
+    for n_a in range(1, d + 1):
+        for n_b in range(1, d + 1 if not dft else d - n_a + 1):
+            point = _find_point(u, chunked, n_a, n_b)
+            found = _one_orbit_at_a_time(u, single, n_a, n_b)
+            if found is None:
+                assert point.status is PointStatus.HOLE
+            else:
+                assert (point.certificate.rows, point.certificate.cols) == found
 
 
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
@@ -674,11 +732,11 @@ def test_engines_share_rank_counters(d, diagram_cache):
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
     pinned = {
-        8: (873, 156),
+        8: (908, 163),
         9: (1588, 264),
-        10: (5849, 911),
+        10: (5975, 932),
         11: (11554, 1600),
-        12: (36671, 4715),
+        12: (37166, 4777),
     }
     if d in pinned:
         stats = counters["exact"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from kduncd import dft_matrix, divisors, nullspace_basis, rank
 from kduncd.diagram import _dft_block
@@ -402,7 +403,7 @@ def test_stack_ranks_match_svd_on_deficient_and_unclear_blocks(monkeypatch):
             assert _stack_svd_ranks(block[None]) == _svd_ranks(block[None])
 
 
-def test_one_deficient_block_sends_the_whole_stack_to_the_svd(monkeypatch):
+def test_only_the_deficient_block_goes_to_the_svd(monkeypatch):
     rng = np.random.default_rng(8)
     stack = _random_stack(rng, 6, 5, 4)
     stack[3, :, 1] = stack[3, :, 0]  # a repeated column: rank 3 of 4
@@ -410,7 +411,35 @@ def test_one_deficient_block_sends_the_whole_stack_to_the_svd(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
     assert _stack_svd_ranks(stack) == [4, 4, 4, 3, 4, 4]
-    assert calls == [stack.shape]
+    assert calls == [(1, 5, 4)]
+
+
+def test_batched_cholesky_fills_exactly_the_failing_blocks_with_nan():
+    # _stack_svd_ranks reads a failed factorization off numpy's batched
+    # Cholesky gufunc as a block of NaN; a numpy that raised or left a
+    # failing block finite would make it certify a deficient block
+    rng = np.random.default_rng(9)
+    k = 5
+
+    def gram(pivots):
+        lower = np.tril(_random_stack(rng, 1, k, k)[0], -1) + np.eye(k)
+        return lower @ np.diag(pivots) @ lower.conj().T
+
+    blocks, failing = [], []
+    for bad in (None, 0, 2, k - 1, None):  # fails at the first, a middle and the last pivot
+        pivots = np.ones(k)
+        if bad is not None:
+            pivots[bad] = -1.0
+        blocks.append(gram(pivots))
+        failing.append(bad is not None)
+    blocks.append(np.zeros((k, k), dtype=complex))
+    failing.append(True)
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(np.array(blocks), signature="D->D")
+    assert np.isnan(factor).all(axis=(1, 2)).tolist() == failing
+    for block, f, bad in zip(blocks, factor, failing):
+        if not bad:
+            assert np.allclose(f, np.linalg.cholesky(block))
 
 
 def test_full_rank_dft_progression_stack_needs_no_svd(monkeypatch):
