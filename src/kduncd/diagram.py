@@ -21,11 +21,14 @@ queries in the same order.
 A point is Present with the first certifying candidate, columns outer, or
 Hole after every candidate is exhausted; other matrices scan every
 selection in lex order.  For the DFT the conditions are unchanged by
-T -> T + s and R -> R + s' (unit-root rescalings of rows and columns) and
-by (R, T) -> (a^-1 R, aT) for a unit a mod d, as U[a^-1 i, a j] = U[i, j].
-So the DFT search scans the least column set of each orbit under
-x -> ax + s, by descending stabilizer size, ties in lex order, and row sets
-containing 0 in lex order; an exhausted quotient rules out every selection.
+R -> aR + s and, separately, by T -> bT + t, for units a, b mod d.  A
+shift rescales the columns or rows by unit roots.  A unit multiple maps
+U[R, T] = (w^(ij)) to U[aR, T], the image of every entry under the
+automorphism w -> w^a of Q(w), and an automorphism keeps every minor's
+vanishing, so the rank over Q(w).  So the DFT search scans the least
+column set of each orbit under x -> ax + s, by descending stabilizer size,
+ties in lex order, and row sets containing 0 in lex order; an exhausted
+quotient rules out every selection.
 Below the half-plane n_a + n_b >= d + 1 the Present points are Theorem 1's
 cosets, whose column sets many maps fix, and the certificate is the full
 scan's first in the same column order (a smaller member of its column orbit
@@ -51,23 +54,27 @@ per-call overhead.
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
 and (ii) and (iii) run only on row sets with base rank below n_b, in the
-same lex order.  Shifting the rows rescales the columns, so the row sets
-of one rotation class pass or fail all three conditions together: the
-screen (``_screen``) holds each class's lex-first member, and (ii) and
-(iii) run on those members only.  The first member of the first certifying
-class is the lex-first certifying row set, so the certificate is the full
-scan's.  Requests are still counted one per row set.  The column sets are
-screened in chunks of 1, 2, 4, ... of them, up to ``_SCREEN_ENTRIES``
-matrix entries, and the uncached classes of a chunk are ranked as one
-stack on every engine; (ii) and (iii) still run column set by column set,
-so a chunk moves no certificate.
+same lex order.  The row sets of one affine class {aR + s} pass or fail
+all three conditions together, as x -> ax + s maps the rows outside R onto
+those outside aR + s: the screen (``_screen``) holds each class's
+lex-first member, and (ii) and (iii) run on those members only.  The first
+member of the first certifying class is the lex-first certifying row set,
+so the certificate is the full scan's.  The numeric engine ranks the first
+member only, and its rank stands for members that are Galois conjugates,
+not isometric blocks; the tests compare every member's numeric rank with
+its class's on random column sets at d <= 12, and engine ``both`` checks
+each computed block against the exact engine.  Requests are still counted
+one per row set.  The column sets are screened in chunks of 1, 2, 4, ...
+of them, up to ``_SCREEN_ENTRIES`` matrix entries, and the uncached
+classes of a chunk are ranked as one stack on every engine; (ii) and
+(iii) still run column set by column set, so a chunk moves no
+certificate.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -128,9 +135,10 @@ _WITNESS_TRIES = 64
 # Matrix entries of one chunk of the condition-(i) screen: classes x rows x
 # columns x column sets.  A stack per column set is mostly numpy's per-call
 # overhead, so the search screens 1, 2, 4, ... column sets at once, up to
-# this cap.  Uncapped doubling takes a d=16 numeric search from about 47 to
-# 103 MB of peak memory, and a cap of 2^14 adds about 0.7 MB (1.6%) to the
-# peak of d=11,12 numeric diagrams, with no faster search; 2^12 adds 0.2%.
+# this cap.  Cold d=16 numeric diagrams (3 fresh processes each, 2-core
+# x86-64 VM) peak at 38.1-38.2 MB max RSS with this cap, 38.2-38.4 MB with
+# 2^14 and 46.3-46.4 MB uncapped, and take 0.33-0.34, 0.32-0.34 and
+# 0.34-0.36 s; at d=12 the three peaks lie within 0.1 MB.
 _SCREEN_ENTRIES = 1 << 12
 
 
@@ -228,23 +236,45 @@ def _mask(indices) -> int:
     return sum(map((1).__lshift__, indices))
 
 
-def _least_rotation(d: int, mask: int) -> int:
-    """Least cyclic rotation of the subset of Z_d with bitmask ``mask``."""
-    full, twice = (1 << d) - 1, mask << d | mask
-    return min(twice >> k & full for k in range(d))
+@lru_cache(maxsize=None)
+def _units_and_bits(d: int) -> tuple[np.ndarray, np.ndarray, np.uint64 | int]:
+    """The units mod d, shaped to broadcast over sets and members, the bit
+    of each x in Z_d, uint64 up to d = 64 and Python ints past it, and the
+    mask of Z_d."""
+    units = np.flatnonzero(np.gcd(np.arange(d), d) == 1)[:, None, None]
+    bit = np.array([1 << x for x in range(d)], dtype=np.uint64 if d <= 64 else object)
+    units.flags.writeable = bit.flags.writeable = False  # shared by every caller
+    return units, bit, bit.sum()
 
 
-def _set_key(d: int, dft: bool, indices) -> int:
-    """Rank-cache key of a row or column set: its least cyclic rotation on
-    the DFT, its bitmask on another matrix."""
-    mask = _mask(indices)
-    return _least_rotation(d, mask) if dft else mask
+def _affine_keys(d: int, sets) -> np.ndarray:
+    """Least bitmask over the orbit of each of ``sets``, k-subsets of Z_d,
+    under x -> ax + s for units a mod d: one key per orbit.
+
+    The least rotation of a nonempty set holds 0 (else one step down would
+    halve it), so each image aX is rotated by its own members only, in
+    chunks of sets of at most 2^14 rotations in all, so no temporary
+    outgrows 128 KB.
+    """
+    units, bit, full = _units_and_bits(d)
+    sets = np.array(sets, dtype=np.intp)
+    if not sets.size:
+        return np.zeros(len(sets), bit.dtype)
+    step = max(1, (1 << 14) // (units.size * sets.shape[1]))
+    keys = []
+    for start in range(0, len(sets), step):
+        images = units * sets[start : start + step] % d
+        masks = bit[images].sum(axis=-1, keepdims=True)
+        shifts = images.astype(bit.dtype)
+        keys.append(((masks >> shifts | masks << (d - shifts)) & full).min(axis=(0, 2)))
+    return np.concatenate(keys)
 
 
 class _Screen(NamedTuple):
-    """The rotation classes of the row sets a search screens on each column
-    set, in order of first member: each class's lex-first member, its row
-    key, and how many row sets the classes stand for."""
+    """Classes of the index sets a search walks, in walking order: each
+    class's lex-first member, its key, and how many sets the classes stand
+    for.  The DFT classes are affine orbits, keyed by ``_affine_keys``; on
+    another matrix each set is its own class, keyed by its mask."""
 
     firsts: list[tuple[int, ...]]
     keys: list[int]
@@ -253,26 +283,34 @@ class _Screen(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _screen(d: int, n_rows: int, dft: bool) -> _Screen:
-    """The DFT screens the row sets through 0, classed and keyed by least
-    cyclic rotation; another matrix screens every row set, keyed by its mask."""
-    if dft:
-        row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
-    else:
+    """The row sets a search screens on each column set.  The DFT screens the
+    row sets through 0, in affine classes in order of first member; another
+    matrix screens every row set."""
+    if not dft:
         row_sets = list(combinations(range(d), n_rows))
-    classes: dict[int, tuple[int, ...]] = {}
-    for rows in row_sets:
-        classes.setdefault(_set_key(d, dft, rows), rows)
-    return _Screen(list(classes.values()), list(classes), len(row_sets))
+        return _Screen(row_sets, [_mask(rows) for rows in row_sets], len(row_sets))
+    row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
+    keys = _affine_keys(d, row_sets)
+    firsts = np.sort(np.unique(keys, return_index=True)[1])
+    return _Screen([row_sets[i] for i in firsts], keys[firsts].tolist(), len(row_sets))
 
 
 class _RankOracle:
     """Memoized rank queries for submatrices of one transition matrix.
 
-    The cache key packs the row and column bitmasks into one int.  For the
-    DFT each mask is first replaced by its least cyclic rotation and the
-    pair put in order: shifting rows by s rescales the columns by unit
-    roots, shifting columns rescales rows, and the matrix is symmetric, so
-    all members of an orbit share one rank.
+    The cache key packs a row key and a column key into one int.  On
+    another matrix they are the bitmasks.  On the DFT each is the least
+    bitmask over its set's orbit under x -> ax + s, a a unit mod d
+    (``_affine_keys``), and the pair is put in order: a shift rescales the
+    other side by unit roots, multiplying the rows or the columns by a
+    applies the automorphism w -> w^a of Q(w) to every entry, and U is
+    symmetric, so all blocks with one key share one rank over Q(w).  The
+    numeric engine ranks one block per key and reuses that rank for the
+    others, though a Galois conjugate is not an isometric block: the tests
+    check every member of the screened classes on random column sets on
+    both engines at d <= 12, and engine ``both`` compares the engines on
+    every block it computes.  Each oracle memoizes the key of each mask it
+    meets, for ``rank_of``.
 
     ``base_ranks`` answers a chunk of column sets against a ``_Screen``'s
     classes: it keys and reads the cache once per class and column set and
@@ -290,8 +328,20 @@ class _RankOracle:
         self.requests = 0
         self.computed = 0
         self._ranks: dict[int, int] = {}
+        self._set_keys: dict[int, int] = {}
         self._dft = u.kind is TransitionKind.DFT
         self._numeric = u.numeric
+
+    def _set_key(self, indices: tuple[int, ...]) -> int:
+        """Key of a row or column set, as ``_screen`` and ``_column_orbits``
+        make it."""
+        mask = _mask(indices)
+        if not self._dft:
+            return mask
+        key = self._set_keys.get(mask)
+        if key is None:
+            key = self._set_keys[mask] = int(_affine_keys(self.d, [indices])[0])
+        return key
 
     def _key(self, row_key: int, col_key: int) -> int:
         """Cache key of a block from its row and column keys, the pair put in
@@ -300,9 +350,9 @@ class _RankOracle:
             return col_key << self.d | row_key
         return row_key << self.d | col_key
 
-    def _keys(self, row_keys, cols: tuple[int, ...]) -> list[int]:
-        """Cache keys of ``cols`` against row keys made as ``_screen`` makes them."""
-        col_key, key = _set_key(self.d, self._dft, cols), self._key
+    def _keys(self, row_keys, col_key: int) -> list[int]:
+        """Cache keys of one column set against a screen's row keys."""
+        key = self._key
         return [key(r, col_key) for r in row_keys]
 
     def _compute(self, blocks) -> list[int]:
@@ -320,8 +370,7 @@ class _RankOracle:
         return ranks
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        d, dft = self.d, self._dft
-        key = self._key(_set_key(d, dft, rows), _set_key(d, dft, cols))
+        key = self._key(self._set_key(rows), self._set_key(cols))
         self.requests += 1
         found = self._ranks.get(key)
         if found is None:
@@ -329,12 +378,12 @@ class _RankOracle:
             found = self._ranks[key] = self._compute([(rows, cols)])[0]
         return found
 
-    def base_ranks(self, screen: _Screen, col_sets) -> list[np.ndarray]:
-        """Rank on each column set of each of the screen's classes, in order,
-        one request per row set and column set.  The keys not cached yet are
-        ranked as one stack, each on its class's first member and the first
-        column set that needs it."""
-        keys = [self._keys(screen.keys, cols) for cols in col_sets]
+    def base_ranks(self, screen: _Screen, col_sets, col_keys) -> list[np.ndarray]:
+        """Rank on each column set, keyed by ``col_keys``, of each of the
+        screen's classes, in order, one request per row set and column set.
+        The keys not cached yet are ranked as one stack, each on its class's
+        first member and the first column set that needs it."""
+        keys = [self._keys(screen.keys, col_key) for col_key in col_keys]
         self.requests += screen.size * len(col_sets)
         ranks = self._ranks
         todo: dict[int, tuple] = {}
@@ -519,20 +568,16 @@ def _audit(u: TransitionMatrix, eng: str, selections: list) -> list[tuple[bool, 
 
 
 @lru_cache(maxsize=None)
-def _column_orbits(d: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """Least member of each orbit of ``size``-subsets of Z_d under x -> ax + s
-    (the first member met marks its whole orbit as seen), in the DFT search's
-    order: by descending number of maps that fix it, |maps| / |orbit|, then lex."""
-    units = [a for a in range(d) if math.gcd(a, d) == 1]
-    maps = [[(a * x + s) % d for x in range(d)] for a in units for s in range(d)]
-    seen: set[int] = set()
-    orbits = []
-    for cols in combinations(range(d), size):
-        if _mask(cols) not in seen:
-            orbit = {_mask(m[x] for x in cols) for m in maps}
-            orbits.append((len(orbit), cols))
-            seen |= orbit
-    return tuple(cols for _, cols in sorted(orbits))
+def _column_orbits(d: int, size: int) -> _Screen:
+    """The orbits of ``size``-subsets of Z_d under x -> ax + s, each led by its
+    lex-first member and keyed by ``_affine_keys``, in the DFT search's
+    order: by descending number of maps that fix it, |maps| / |orbit|, then
+    lex.  The orbit of a key is the sets that share it."""
+    col_sets = list(combinations(range(d), size))
+    keys = _affine_keys(d, col_sets)
+    _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = firsts[np.lexsort((firsts, counts))]
+    return _Screen([col_sets[i] for i in order], keys[order].tolist(), len(col_sets))
 
 
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
@@ -553,12 +598,14 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
         rows, cols = tuple(range(n_rows)), tuple(range(n_b))
         return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
     screen = _screen(d, n_rows, dft)
-    col_sets = _column_orbits(d, n_b) if dft else list(combinations(range(d), n_b))
+    columns = _column_orbits(d, n_b) if dft else _screen(d, n_b, False)
+    col_sets = columns.firsts
     cap = max(1, _SCREEN_ENTRIES // max(1, len(screen.keys) * n_rows * n_b))
     start, size = 0, 1
     while start < len(col_sets):
         chunk = col_sets[start : start + size]
-        for cols, ranks in zip(chunk, oracle.base_ranks(screen, chunk)):
+        ranks_of_chunk = oracle.base_ranks(screen, chunk, columns.keys[start : start + size])
+        for cols, ranks in zip(chunk, ranks_of_chunk):
             for i in np.flatnonzero(ranks < n_b):
                 rows = screen.firsts[i]
                 if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):

@@ -39,13 +39,13 @@ from kduncd import (
 from kduncd import diagram
 from kduncd.diagram import (
     _WITNESS_TRIES,
+    _affine_keys,
     _audited,
     _column_orbits,
     _conditions_hold,
     _conditions_ii_iii,
     _dft_block,
     _find_point,
-    _least_rotation,
     _mask,
     _mirrored_point,
     _RankOracle,
@@ -382,7 +382,7 @@ def test_column_representatives_are_orbit_minima():
     # _column_orbits gives the least member of each orbit under x -> ax + s.
     # Pairs of Z_8 are classed by their difference up to sign and units:
     # 1, 2 or 4
-    assert sorted(_column_orbits(8, 2)) == [(0, 1), (0, 2), (0, 4)]
+    assert sorted(_column_orbits(8, 2).firsts) == [(0, 1), (0, 2), (0, 4)]
     for d in range(1, 9):
         units = [a for a in range(d) if math.gcd(a, d) == 1]
         for size in range(d + 1):
@@ -390,7 +390,7 @@ def test_column_representatives_are_orbit_minima():
                 min(tuple(sorted((a * x + s) % d for x in cols)) for a in units for s in range(d))
                 for cols in combinations(range(d), size)
             }
-            assert sorted(_column_orbits(d, size)) == sorted(orbit_minima)
+            assert sorted(_column_orbits(d, size).firsts) == sorted(orbit_minima)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -399,11 +399,11 @@ def test_structured_representatives_sort_by_stabilizer_then_lex(d):
     # recounted over every affine map never increase, ties in lex order.
     # The pairs of Z_8 with difference 4, 2 or 1 are fixed by 8, 4 and 2 maps
     if d == 8:
-        assert _column_orbits(8, 2) == ((0, 4), (0, 2), (0, 1))
-        assert _column_orbits(8, 4)[:2] == ((0, 2, 4, 6), (0, 1, 4, 5))
+        assert _column_orbits(8, 2).firsts == [(0, 4), (0, 2), (0, 1)]
+        assert _column_orbits(8, 4).firsts[:2] == [(0, 2, 4, 6), (0, 1, 4, 5)]
     units = [a for a in range(d) if math.gcd(a, d) == 1]
     for size in range(d + 1):
-        order = _column_orbits(d, size)
+        order = _column_orbits(d, size).firsts
         orbit_minima = {
             min(tuple(sorted((a * x + s) % d for x in cols)) for a in units for s in range(d))
             for cols in combinations(range(d), size)
@@ -432,10 +432,26 @@ def test_point_search_gives_the_diagram_certificates(d, diagram_cache):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_least_rotations_match_brute_force(d):
-    for mask in range(1 << d):
-        members = [x for x in range(d) if mask >> x & 1]
-        want = min(_mask((x + s) % d for x in members) for s in range(d))
-        assert _least_rotation(d, mask) == want
+    # the key of every subset of Z_d is the least mask over its orbit under
+    # x -> ax + s: the least rotation of aX over every unit a
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
+    members = [[x for x in range(d) if mask >> x & 1] for mask in range(1 << d)]
+    for size in range(d + 1):
+        sets = [xs for xs in members if len(xs) == size]
+        want = [min(_mask((a * x + s) % d for x in xs) for a in units for s in range(d)) for xs in sets]
+        assert _affine_keys(d, sets).tolist() == want
+
+
+@pytest.mark.parametrize("d", [64, 65, 70])
+def test_affine_keys_fill_64_bits_then_use_python_ints(d):
+    # masks are uint64 up to d = 64, whose top bit is Z_64's 63, and
+    # Python ints past it
+    rng = random.Random(d)
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
+    random_sets = [[tuple(sorted(rng.sample(range(d), k))) for _ in range(3)] for k in (1, 5, d - 1)]
+    for sets in [[(0, d - 1), (d - 2, d - 1)]] + random_sets:
+        want = [min(_mask((a * x + s) % d for x in xs) for a in units for s in range(d)) for xs in sets]
+        assert _affine_keys(d, sets).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -560,20 +576,24 @@ def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_orbit_members_share_key_and_rank(d):
-    # every row shift, every column shift and the transpose of a selection
-    # get its cache key, and both engines give them all one rank
+    # every row shift, every column shift, every unit multiple of the rows
+    # or of the columns, and the transpose of a selection get its cache key,
+    # and both engines give them all one rank
     rng = random.Random(d)
     u = dft_matrix(d)
     engines = [_RankOracle(u, engine) for engine in ("exact", "numeric")]
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
 
-    def shift(xs, s):
-        return tuple(sorted((x + s) % d for x in xs))
+    def shift(xs, s, a=1):
+        return tuple(sorted((a * x + s) % d for x in xs))
 
     for _ in range(4):
         rows = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
         cols = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
         members = [(shift(rows, s), cols) for s in range(d)]
         members += [(rows, shift(cols, s)) for s in range(d)]
+        members += [(shift(rows, 0, a), cols) for a in units]
+        members += [(rows, shift(cols, 0, a)) for a in units]
         members.append((shift(cols, 1), shift(rows, 2)))
         oracle = _RankOracle(u, "both")
         for r, c in members:
@@ -584,20 +604,21 @@ def test_orbit_members_share_key_and_rank(d):
 
 
 def _check_screen(u, engine, rng):
-    """A search's screen of each row count: its rotation classes partition
-    its row sets, each led by its lex-first member and keyed by the least
-    rotation all its members share, and every member has its class's base
-    rank, so (ii) and (iii) need only the first members.  A chunk of column
-    sets counts one request per row set and column set, and computes each
-    distinct key once."""
+    """A search's screen of each row count: its affine classes partition its
+    row sets, each led by its lex-first member and keyed by the least mask
+    over the orbit that all its members share, and every member has its
+    class's base rank on the engine, so (ii) and (iii) need only the first
+    members.  A chunk of column sets counts one request per row set and
+    column set, and computes each distinct key once."""
     d = u.d
     dft = u.kind is TransitionKind.DFT
+    units = [a for a in range(d) if math.gcd(a, d) == 1]
 
     def members(first):
         if not dft:
             return [first]
-        shifted = {tuple(sorted((x + s) % d for x in first)) for s in range(d)}
-        return sorted(rows for rows in shifted if 0 in rows)
+        images = {tuple(sorted((a * x + s) % d for x in first)) for a in units for s in range(d)}
+        return sorted(rows for rows in images if 0 in rows)
 
     for n_rows in range(1 if dft else 0, d):
         screen = _screen(d, n_rows, dft)
@@ -608,15 +629,16 @@ def _check_screen(u, engine, rng):
         for first, key in zip(screen.firsts, screen.keys, strict=True):
             assert first == members(first)[0]
             if dft:
-                assert {_least_rotation(d, _mask(rows)) for rows in members(first)} == {key}
+                assert set(_affine_keys(d, members(first)).tolist()) == {key}
             else:
                 assert key == _mask(first)
         oracle = _RankOracle(u, engine)
         n_b = rng.randint(1, d)  # a chunk's column sets share their size
         col_sets = [tuple(sorted(rng.sample(range(d), n_b))) for _ in range(3)]
         col_sets.append(col_sets[0])  # a chunk may repeat a key
-        keys = {k for cols in col_sets for k in oracle._keys(screen.keys, cols)}
-        screened = oracle.base_ranks(screen, col_sets)
+        col_keys = [oracle._set_key(cols) for cols in col_sets]
+        keys = {k for col_key in col_keys for k in oracle._keys(screen.keys, col_key)}
+        screened = oracle.base_ranks(screen, col_sets, col_keys)
         assert (oracle.requests, oracle.computed) == (len(col_sets) * screen.size, len(keys))
         for cols, ranks in zip(col_sets, screened, strict=True):
             every = dict(zip(row_sets, oracle._compute([(r, cols) for r in row_sets])))
@@ -625,11 +647,13 @@ def _check_screen(u, engine, rng):
 
 
 @pytest.mark.parametrize("engine", ["exact", "numeric"])
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_screen_ranks_each_rotation_class_once(d, engine):
-    # a row shift rescales the columns, so the DFT screen keys, reads and
-    # ranks each rotation class of row sets once, on its lex-first member,
-    # and still counts one request per row set
+    # a row shift rescales the columns and a unit multiple of the rows is a
+    # Galois conjugate, so the DFT screen keys, reads and ranks each affine
+    # class of row sets (a union of rotation classes) once, on its lex-first
+    # member, and still counts one request per row set.  Numeric ranks of
+    # members that are not isometric blocks must agree too
     _check_screen(dft_matrix(d), engine, random.Random(d))
 
 
@@ -645,10 +669,10 @@ def test_screen_chunks_hold_at_most_the_entry_cap(monkeypatch, engine):
     chunks = []
     base_ranks = _RankOracle.base_ranks
 
-    def recorded(self, screen, col_sets):
+    def recorded(self, screen, col_sets, col_keys):
         entries = len(screen.keys) * len(screen.firsts[0]) * len(col_sets[0]) * len(col_sets)
         chunks.append((len(col_sets), entries))
-        return base_ranks(self, screen, col_sets)
+        return base_ranks(self, screen, col_sets, col_keys)
 
     monkeypatch.setattr(_RankOracle, "base_ranks", recorded)
     for d in range(1, 13):
@@ -663,8 +687,9 @@ def _one_orbit_at_a_time(u, oracle, n_a, n_b):
     d = u.d
     dft = u.kind is TransitionKind.DFT
     screen = _screen(d, d - n_a, dft)
-    for cols in _column_orbits(d, n_b) if dft else combinations(range(d), n_b):
-        ranks = oracle.base_ranks(screen, [cols])[0]
+    columns = _column_orbits(d, n_b) if dft else _screen(d, n_b, False)
+    for cols, col_key in zip(columns.firsts, columns.keys):
+        ranks = oracle.base_ranks(screen, [cols], [col_key])[0]
         for i in np.flatnonzero(ranks < n_b):
             rows = screen.firsts[i]
             if _conditions_ii_iii(oracle.rank_of, d, rows, cols, int(ranks[i])):
@@ -699,7 +724,7 @@ def test_searched_holes_count_every_candidate(d, engine, diagram_cache):
     # the diagram reads off their mirrors get a count too
     u = dft_matrix(d)
     for n_a, n_b in sorted(diagram_cache(d, engine=engine).hole_set()):
-        n = len(_column_orbits(d, n_b))
+        n = len(_column_orbits(d, n_b).firsts)
         if n_a < d:
             n *= math.comb(d - 1, d - n_a - 1)
         point = point_exists(u, n_a, n_b, engine=engine)
@@ -732,11 +757,11 @@ def test_engines_share_rank_counters(d, diagram_cache):
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
     pinned = {
-        8: (908, 163),
-        9: (1588, 264),
-        10: (5975, 932),
-        11: (11554, 1600),
-        12: (37166, 4777),
+        8: (900, 111),
+        9: (1575, 104),
+        10: (5866, 369),
+        11: (11554, 232),
+        12: (38683, 2490),
     }
     if d in pinned:
         stats = counters["exact"]
@@ -775,16 +800,23 @@ def test_d40_half_plane_point_is_certified_exactly_unsearched():
 
 def test_d40_searched_points_fit_in_memory():
     # a searched point keys its ranks mask by mask, with no table of all
-    # 2^40 subsets: no 1 x 1 block of the DFT vanishes, so (39, 1) is a
-    # Hole, and rows {0, 20} read 1, 1 on columns {0, 2}, so they certify
-    # (38, 2)
+    # 2^d subsets: no 1 x 1 or 2 x 1 block of the DFT vanishes, so (d - 1, 1)
+    # and (d - 2, 1) are Holes, and rows {0, d/2} read 1, 1 on columns
+    # {0, 2}, so they certify (d - 2, 2).  At d = 64 a mask fills all 64
+    # bits of a word
     u = dft_matrix(40)
     hole = point_exists(u, 39, 1, allow_large=True)
     assert hole.status is PointStatus.HOLE
-    for engine in ("exact", "numeric"):
-        point = point_exists(u, 38, 2, engine=engine, allow_large=True)
-        assert point.status is PointStatus.PRESENT
-        assert (point.certificate.rows, point.certificate.cols) == ((0, 20), (0, 2))
+    for d in (40, 64):
+        u = dft_matrix(d)
+        for engine in ("exact", "numeric"):
+            hole = point_exists(u, d - 2, 1, engine=engine, allow_large=True)
+            note = f"exhausted {d - 1} candidates"
+            assert (hole.status, hole.note) == (PointStatus.HOLE, note), (d, engine)
+            point = point_exists(u, d - 2, 2, engine=engine, allow_large=True)
+            assert point.status is PointStatus.PRESENT, (d, engine)
+            selection = (point.certificate.rows, point.certificate.cols)
+            assert selection == ((0, d // 2), (0, 2)), (d, engine)
 
 
 @pytest.mark.slow
