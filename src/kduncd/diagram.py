@@ -47,9 +47,9 @@ its mirror's, not the closed form or the full scan's first candidate.
 The search returns selections unaudited.  Every certificate is then audited
 on the run's engine, and one that fails raises; on the exact engine, which
 ``auto`` picks for the DFT at every d, none can.  ``enumerate_diagram``
-audits a row n_a once it is decided, as one rank stack of the distinct
-blocks of all its certificates, since a stack per point is mostly numpy's
-per-call overhead.
+audits a row n_a once it is decided, ranking the distinct blocks of all
+its certificates in one call, stacked whatever their shapes, since a stack
+per point or per block shape is mostly numpy's per-call overhead.
 
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
@@ -138,7 +138,8 @@ _WITNESS_TRIES = 64
 # this cap.  Cold d=16 numeric diagrams (3 fresh processes each, 2-core
 # x86-64 VM) peak at 38.1-38.2 MB max RSS with this cap, 38.2-38.4 MB with
 # 2^14 and 46.3-46.4 MB uncapped, and take 0.33-0.34, 0.32-0.34 and
-# 0.34-0.36 s; at d=12 the three peaks lie within 0.1 MB.
+# 0.34-0.36 s; at d=12 the three peaks lie within 0.1 MB.  Stacks of mixed
+# numeric blocks are cut at this cap too, padding included, to bound memory.
 _SCREEN_ENTRIES = 1 << 12
 
 
@@ -420,15 +421,27 @@ def _check_agreement(blocks, exact: list[int], numeric: list[int]) -> None:
             raise EngineDisagreementError(rows, cols, r, rn)
 
 
-def _numeric_block_ranks(numeric: np.ndarray, row_sets, cols) -> list[int]:
-    """Numeric ranks of blocks of one shape, rows in ``row_sets``, as one
-    stack, certified full rank or else SVD'd; ``cols`` is one index set or
-    one per block."""
-    rows = np.array(row_sets, dtype=np.intp)
-    stack = numeric[rows[:, :, None], np.array(cols, dtype=np.intp)[..., None, :]]
-    if not stack.size:
-        return [0] * len(rows)
-    return _stack_svd_ranks(stack)
+def _numeric_block_ranks(numeric: np.ndarray, row_sets, col_sets) -> list[int]:
+    """Numeric ranks of (rows, cols) blocks of any shapes, each certified full
+    rank or else SVD'd at its own shape (``_stack_svd_ranks``).  Mixed shapes
+    are stacked short side first, zero-padded, ``_SCREEN_ENTRIES`` a stack."""
+    if len(set(map(len, row_sets))) == len(set(map(len, col_sets))) == 1:  # one shape
+        rows = np.array(row_sets, dtype=np.intp)[:, :, None]
+        return _stack_svd_ranks(numeric[rows, np.array(col_sets, dtype=np.intp)[:, None, :]])
+    sides = np.zeros((2, len(numeric) + 1, len(numeric) + 1), dtype=numeric.dtype)
+    sides[:, :-1, :-1] = numeric, numeric.T  # index -1 reads 0; the transpose for tall blocks
+    blocks = [(r, c, 0) if len(r) <= len(c) else (c, r, 1) for r, c in zip(row_sets, col_sets)]
+    k, m = max(len(b[0]) for b in blocks), max(len(b[1]) for b in blocks)
+    short = np.array([s + (-1,) * (k - len(s)) for s, _, _ in blocks], dtype=np.intp)
+    long = np.array([lo + (-1,) * (m - len(lo)) for _, lo, _ in blocks], dtype=np.intp)
+    side = np.array([t for _, _, t in blocks], dtype=np.intp)
+    shapes = [(len(r), len(c)) for r, c in zip(row_sets, col_sets)]
+    step, ranks = max(1, _SCREEN_ENTRIES // max(1, k * m)), []
+    for start in range(0, len(blocks), step):
+        part = slice(start, start + step)
+        stack = sides[side[part, None, None], short[part, :, None], long[part, None, :]]
+        ranks += _stack_svd_ranks(stack, shapes[part])
+    return ranks
 
 
 def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool) -> str:
@@ -517,13 +530,15 @@ def check_submatrix_conditions(
     return _audit(u, _resolve_engine(d, u.kind, engine, allow_large=True), [(rows, cols)])[0]
 
 
-def _audit(u: TransitionMatrix, eng: str, selections: list) -> list[tuple[bool, PointCertificate]]:
+def _audit(
+    u: TransitionMatrix, eng: str, selections: list, stats: dict | None = None
+) -> list[tuple[bool, PointCertificate]]:
     """``check_submatrix_conditions`` for each sorted (rows, cols) selection.
 
-    Ranks every distinct block the audits may read once, all at once: one
-    padded stack on the exact engine, one SVD stack per block shape on the
-    numeric one.  Engine ``both`` keeps the exact certificates, after raising
-    on the first block, in order, whose numeric rank differs.
+    Ranks every distinct block the audits may read once, all in one call on
+    each engine, counted in ``stats["audit_blocks"]`` if given.  Engine
+    ``both`` keeps the exact certificates, after raising on the first block,
+    in order, whose numeric rank differs.
     """
     d = u.d
     first_use: dict = {}  # the distinct blocks, in order of first use
@@ -532,18 +547,16 @@ def _audit(u: TransitionMatrix, eng: str, selections: list) -> list[tuple[bool, 
         first_use.update(((_insert_sorted(rows, k), cols), None) for k in range(d) if k not in rows)
         first_use.update(((rows, cols[:i] + cols[i + 1 :]), None) for i in range(len(cols)))
     blocks = list(first_use)
-    if eng != ENGINE_EXACT:  # one SVD stack per block shape, each with its own threshold
-        shapes: dict[tuple[int, int], list] = {}
-        for block in blocks:
-            shapes.setdefault((len(block[0]), len(block[1])), []).append(block)
-        numeric = {}
-        for group in shapes.values():
-            numeric.update(zip(group, _numeric_block_ranks(u.numeric, *zip(*group))))
-        found = [RankCertificate(numeric[b], ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for b in blocks]
+    if stats is not None:
+        stats["audit_blocks"] += len(blocks)
+    if eng != ENGINE_EXACT:
+        numeric = _numeric_block_ranks(u.numeric, *zip(*blocks))
+        shared = {r: RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in set(numeric)}
+        found = [shared[r] for r in numeric]
     if eng != ENGINE_NUMERIC:
         ranks, pivots = _exact_block_ranks(d, blocks)
         if eng == ENGINE_BOTH:
-            _check_agreement(blocks, ranks, [numeric[b] for b in blocks])
+            _check_agreement(blocks, ranks, numeric)
         pairs = map(_pivot_pairs, pivots)
         found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
     table = dict(zip(blocks, found))
@@ -629,14 +642,16 @@ def _mirrored_point(d: int, mirror: DiagramPoint) -> DiagramPoint:
     return DiagramPoint(n_a, n_b, PointStatus.PRESENT, PointCertificate(rows, cols))
 
 
-def _audited(u: TransitionMatrix, engine: str, points) -> dict[tuple[int, int], DiagramPoint]:
+def _audited(
+    u: TransitionMatrix, engine: str, points, stats: dict | None = None
+) -> dict[tuple[int, int], DiagramPoint]:
     """``points`` by (n_a, n_b), each Present selection replaced by its audited
-    certificate; one ``_audit`` batch, none without a Present point.  Raises
-    on the first selection, in order, that fails."""
+    certificate; one ``_audit`` batch, counted in ``stats``, none without a
+    Present point.  Raises on the first selection, in order, that fails."""
     out = {(p.n_a, p.n_b): p for p in points}
     present = [p for p in points if p.status is PointStatus.PRESENT]
     selections = [(p.certificate.rows, p.certificate.cols) for p in present]
-    for p, (ok, cert) in zip(present, _audit(u, engine, selections) if present else ()):
+    for p, (ok, cert) in zip(present, _audit(u, engine, selections, stats) if present else ()):
         if not ok:
             point = f"({p.n_a}, {p.n_b})"
             raise RuntimeError(f"{point} fails the {engine} audit: {cert.rows} x {cert.cols}")
@@ -670,6 +685,7 @@ def enumerate_diagram(
     read off its mirror (n_b, n_a), decided and audited in an earlier row.
     Once a row n_a is decided, its Present certificates are audited as one
     rank stack; a stack per diagram would hold all its blocks in memory.
+    ``stats`` adds ``audit_blocks``, the distinct blocks the row audits ranked.
     ``sym_reduce`` is ignored, as the DFT search always scans the quotient;
     it stays only because ``perfbench/bench.py`` and
     ``perfbench/tests/test_perfbench.py`` pass ``sym_reduce=False``.
@@ -679,15 +695,13 @@ def enumerate_diagram(
     dft = u.kind is TransitionKind.DFT
     start = time.perf_counter()
     points: dict[tuple[int, int], DiagramPoint] = {}
+    stats = {"rank_requests": 0, "rank_computed": 0, "audit_blocks": 0}
     for n_a in range(1, u.d + 1):
         mirrored = [_mirrored_point(u.d, points[(b, n_a)]) for b in range(1, n_a if dft else 1)]
         searched = [_find_point(u, oracle, n_a, b) for b in range(len(mirrored) + 1, u.d + 1)]
-        points.update(_audited(u, eng, mirrored + searched))
+        points.update(_audited(u, eng, mirrored + searched, stats))
     elapsed = time.perf_counter() - start
-    stats = {
-        "rank_requests": oracle.requests,
-        "rank_computed": oracle.computed,
-    }
+    stats.update(rank_requests=oracle.requests, rank_computed=oracle.computed)
     return UncertaintyDiagram(
         d=u.d,
         engine=eng,

@@ -26,7 +26,7 @@ carries the pivots of a nonzero minor.  In a stack of numeric blocks, a
 block skips the SVD when the Cholesky factorization of its shifted Gram
 matrix shows it full rank with sigma_min about 1e-4 * sigma_max or more,
 far above the threshold; one batched factorization tries every block, and
-one SVD ranks the blocks it fails on (``_stack_svd_ranks``).
+the blocks it fails on are SVD'd one stack per shape (``_stack_svd_ranks``).
 """
 
 from __future__ import annotations
@@ -180,17 +180,21 @@ def svd_rank(s: np.ndarray, n: int):
     return (s > DEFAULT_RANK_TOL * top * n).sum(axis=-1)
 
 
-def _stack_svd_ranks(stack: np.ndarray) -> list[int]:
-    """``svd_rank`` of each block of a nonempty same-shape complex stack, as a
-    list.
+def _stack_svd_ranks(stack: np.ndarray, shapes=None) -> list[int]:
+    """``svd_rank`` of each block of a stack of complex blocks, as a list.
+
+    Block i, of ``shapes[i]`` = (rows, cols), lies short side first in the
+    top-left corner of ``stack[i]``, zero elsewhere; by default every block
+    has the stack's shape and orientation.
 
     In a stack of two or more blocks each block is first certified full
     rank without an SVD (for one block that saves nothing).  Each block A
     (r x c, k = min(r, c), m = max(r, c)) gives its k x k Gram matrix G on
     the short side, and one batched Cholesky factorization of the stack of
-    G - delta * I, delta = 1e-8 * trace(G), either succeeds on a block, which
-    then has rank k, or fills that block with NaN.  One SVD ranks the blocks
-    it failed on.  ``np.linalg.cholesky`` is the same gufunc, raising on any
+    G - delta * I, delta = 1e-8 * trace(G), 1 on the padded diagonal, either
+    succeeds on a block, which then has rank k, or fills that block with
+    NaN.  The blocks it failed on are SVD'd by shape, each in its own
+    orientation.  ``np.linalg.cholesky`` is the same gufunc, raising on any
     failure instead.
 
     Success is a proof.  With u = 2^-53 and g(j) = j * u / (1 - j * u), the
@@ -203,20 +207,32 @@ def _stack_svd_ranks(stack: np.ndarray) -> list[int]:
     0.99e-4 * sigma_max, at least 99 times ``svd_rank``'s threshold
     1e-10 * m * sigma_max plus the SVD's own rounding of a few
     m * u * sigma_max, so the SVD would count all k singular values.  An
-    all-zero block fails the factorization.
+    all-zero block fails the factorization.  Off its block the factored
+    matrix is I, so the factorization is block diagonal, L21 = 0 exactly, and
+    the bounds hold with the stack's padded sides K and M in place of k and m.
     """
     n, r, c = stack.shape
-    if n == 1:
-        return svd_rank(np.linalg.svd(stack, compute_uv=False), max(r, c)).tolist()
-    a = stack if r <= c else stack.transpose(0, 2, 1)
-    gram = a @ a.conj().transpose(0, 2, 1)
-    diagonal = np.einsum("nii->ni", gram)
-    diagonal -= 1e-8 * np.einsum("nii->n", gram)[:, None]
-    with np.errstate(invalid="ignore"):
-        failed = np.isnan(_umath_linalg.cholesky_lo(gram, signature="D->D")[:, 0, 0])
-    ranks = np.full(n, min(r, c))
-    if failed.any():
-        ranks[failed] = svd_rank(np.linalg.svd(stack[failed], compute_uv=False), max(r, c))
+    if shapes is None:  # one shape, in its own orientation
+        if n == 1 and stack.size:
+            return svd_rank(np.linalg.svd(stack, compute_uv=False), max(r, c)).tolist()
+        shapes, stack = [(r, c)], stack if r <= c else stack.transpose(0, 2, 1)
+    ranks = np.zeros(n, dtype=np.intp) + [min(shape) for shape in shapes]
+    failed = np.flatnonzero(ranks)
+    if n > 1 and failed.size:
+        gram = stack @ stack.conj().transpose(0, 2, 1)
+        diagonal = np.einsum("nii->ni", gram)
+        diagonal -= 1e-8 * np.einsum("nii->n", gram)[:, None]
+        if len(shapes) > 1:
+            diagonal[np.arange(len(gram[0])) >= ranks[:, None]] = 1  # the padding
+        with np.errstate(invalid="ignore"):
+            factor = _umath_linalg.cholesky_lo(gram, signature="D->D")
+        failed = np.flatnonzero(np.isnan(factor[:, 0, 0]))
+    by_shape = [(shapes[i % len(shapes)], i) for i in failed.tolist()]  # one for all, or each
+    for r, c in dict.fromkeys(shape for shape, _ in by_shape):
+        group = [i for shape, i in by_shape if shape == (r, c)]
+        blocks = stack[group, : min(r, c), : max(r, c)]
+        s = np.linalg.svd(blocks if r <= c else blocks.transpose(0, 2, 1), compute_uv=False)
+        ranks[group] = svd_rank(s, max(r, c))
     return ranks.tolist()
 
 

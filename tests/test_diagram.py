@@ -500,8 +500,8 @@ def test_failed_closed_form_audit_raises_unsearched(monkeypatch):
     audit = diagram._audit
     failing = set()
 
-    def forced(u, engine, selections):
-        audits = audit(u, engine, selections)
+    def forced(u, engine, selections, *stats):
+        audits = audit(u, engine, selections, *stats)
         return [(ok and sel not in failing, c) for sel, (ok, c) in zip(selections, audits)]
 
     monkeypatch.setattr(diagram, "_audit", forced)
@@ -524,11 +524,27 @@ def test_failed_closed_form_audit_raises_unsearched(monkeypatch):
 
 
 def test_audit_runs_once_per_row_and_once_per_present_point(monkeypatch):
-    calls = []
-    audit = diagram._audit
-    monkeypatch.setattr(diagram, "_audit", lambda *args: calls.append(args[2]) or audit(*args))
-    enumerate_diagram(dft_matrix(8), engine="exact")
-    assert len(calls) == 8
+    # and each numeric or "both" row audit ranks its blocks in one numeric call
+    calls, ranked, per_audit = [], [], []
+    audit, numeric = diagram._audit, diagram._numeric_block_ranks
+
+    def counted(*args):
+        calls.append(args[2])
+        before = len(ranked)
+        try:
+            return audit(*args)
+        finally:
+            per_audit.append(len(ranked) - before)
+
+    monkeypatch.setattr(diagram, "_audit", counted)
+    monkeypatch.setattr(diagram, "_numeric_block_ranks", lambda *a: ranked.append(1) or numeric(*a))
+    for engine, numeric_calls in [("exact", 0), ("numeric", 1), ("both", 1)]:
+        calls.clear()
+        per_audit.clear()
+        enumerate_diagram(dft_matrix(8), engine=engine)
+        assert len(calls) == 8
+        assert per_audit == [numeric_calls] * 8, engine
+    calls.clear()
     calls.clear()
     assert point_exists(dft_matrix(8), 4, 2).status is PointStatus.PRESENT
     assert len(calls) == 1
@@ -750,22 +766,23 @@ def test_exact_and_numeric_diagrams_agree(d, diagram_cache):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_engines_share_rank_counters(d, diagram_cache):
     # every engine screens each column set eagerly through one code path,
-    # so requests and computed ranks do not depend on the engine
+    # so requests and computed ranks do not depend on the engine; nor do
+    # the distinct blocks the row audits rank, as the certificates agree
     counters = {
         engine: diagram_cache(d, engine=engine).stats
         for engine in ("numeric", "exact", "both")
     }
     assert counters["exact"] == counters["both"] == counters["numeric"]
     pinned = {
-        8: (900, 111),
-        9: (1575, 104),
-        10: (5866, 369),
-        11: (11554, 232),
-        12: (38683, 2490),
+        8: (900, 111, 476),
+        9: (1575, 104, 646),
+        10: (5866, 369, 893),
+        11: (11554, 232, 1027),
+        12: (38683, 2490, 1654),
     }
     if d in pinned:
         stats = counters["exact"]
-        assert (stats["rank_requests"], stats["rank_computed"]) == pinned[d]
+        assert (stats["rank_requests"], stats["rank_computed"], stats["audit_blocks"]) == pinned[d]
 
 
 def test_enumerate_rejects_oversized_exact(diagram_cache):
@@ -1077,21 +1094,31 @@ def test_diagram_json_schema(diagram_cache):
     "u", [dft_matrix(d) for d in range(1, 13)] + [random_mub_pair(6, seed) for seed in (1, 2, 3)]
 )
 def test_numeric_stack_ranks_match_the_svd_in_every_search_and_audit(monkeypatch, u):
-    # every stack the numeric search and audit rank, certified or not,
-    # gets the rank the plain SVD count gives
-    numeric = diagram._numeric_block_ranks
-    seen = []
+    # every block the numeric search and audit rank, certified or not, gets
+    # the rank the plain SVD count of that block alone gives; the search's
+    # stacks hold one shape, and an audit stack mixes shapes at d >= 3
+    numeric, audit = diagram._numeric_block_ranks, diagram._audit
+    seen = []  # (number of block shapes, ranked by an audit) of every stack
+    auditing = []
 
     def checked(matrix, row_sets, cols):
         ranks = numeric(matrix, row_sets, cols)
-        rows = np.array(row_sets, dtype=np.intp)
-        stack = matrix[rows[:, :, None], np.array(cols, dtype=np.intp)[..., None, :]]
-        if stack.size:
-            s = np.linalg.svd(stack, compute_uv=False)
-            assert ranks == svd_rank(s, max(stack.shape[1:])).tolist()
-        seen.append(len(ranks))
+        for got, rows, c in zip(ranks, row_sets, cols, strict=True):
+            block = matrix[np.ix_(rows, c)]
+            s = np.linalg.svd(block, compute_uv=False)
+            assert got == (svd_rank(s, max(block.shape)) if block.size else 0), (rows, c)
+        seen.append((len({(len(r), len(c)) for r, c in zip(row_sets, cols)}), bool(auditing)))
         return ranks
 
+    def flagged(*args):
+        auditing.append(True)
+        try:
+            return audit(*args)
+        finally:
+            auditing.pop()
+
     monkeypatch.setattr(diagram, "_numeric_block_ranks", checked)
+    monkeypatch.setattr(diagram, "_audit", flagged)
     enumerate_diagram(u, engine="numeric")
-    assert u.d < 3 or max(seen) > 1
+    assert all(shapes == 1 for shapes, by_audit in seen if not by_audit)
+    assert u.d < 3 or max(shapes for shapes, by_audit in seen if by_audit) > 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 from kduncd import dft_matrix, divisors, nullspace_basis, rank
-from kduncd.diagram import _dft_block
+from kduncd.diagram import _dft_block, _numeric_block_ranks
 from kduncd.linalg import (
     DEFAULT_RANK_TOL,
     ENGINE_EXACT,
@@ -412,6 +412,37 @@ def test_only_the_deficient_block_goes_to_the_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
     assert _stack_svd_ranks(stack) == [4, 4, 4, 3, 4, 4]
     assert calls == [(1, 5, 4)]
+
+
+def test_mixed_shapes_rank_as_one_padded_stack(monkeypatch):
+    # wide, tall and square blocks, empty short sides, rank-deficient and
+    # all-zero blocks, ranked in one call: each gets its own SVD count, and
+    # only the blocks the padded Cholesky fails on reach the SVD, each at its
+    # own shape and orientation
+    rng = np.random.default_rng(10)
+    m = _random_stack(rng, 1, 10, 10)[0]
+    m[7, :7] = m[6, :7]  # rows 6 and 7 agree on columns 0..6 only
+    m[:6, 8] = m[:6, 6]  # columns 6 and 8 agree on rows 0..5 only
+    m[0, :3] = 0
+    blocks = [
+        ((1, 2, 3), (0, 1, 2, 3, 4)),  # wide, rank 3
+        ((1, 2, 3, 4, 5), (2, 3, 4)),  # tall, rank 3
+        ((1, 2, 3, 4), (1, 2, 3, 4)),  # square, rank 4
+        ((), (1, 2)),  # no rows
+        ((3, 4), ()),  # no columns
+        ((2, 6, 7), (0, 1, 3, 5)),  # wide, rank 2
+        ((1, 2, 3, 4, 5), (3, 6, 8)),  # tall, rank 2
+        ((0,), (0, 1, 2)),  # all zero
+    ]
+    expected = [_svd_ranks(m[np.ix_(r, c)][None])[0] if r and c else 0 for r, c in blocks]
+    assert expected == [3, 3, 4, 0, 0, 2, 2, 0]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.copy()) or svd(a, **kw))
+    assert _numeric_block_ranks(m, *zip(*blocks)) == expected
+    deficient = [m[np.ix_(r, c)][None] for r, c in blocks[5:]]
+    assert [a.shape for a in calls] == [a.shape for a in deficient]
+    assert all(np.array_equal(a, b) for a, b in zip(calls, deficient))
 
 
 def test_batched_cholesky_fills_exactly_the_failing_blocks_with_nan():
