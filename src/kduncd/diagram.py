@@ -13,10 +13,12 @@ same three conditions: they then reduce to every single row of the matrix
 being nonzero on the chosen columns, which is the direct density argument
 for full A-support.
 
-One function evaluates the three conditions.  The search asks it through
-the cached rank oracle; the audit of a certifying candidate asks it through
-a closure that keeps every rank certificate, so both see the same rank
-queries in the same order.
+One function evaluates the three conditions, on the blocks that one
+generator lists (``_condition_blocks``).  The search asks it through the
+cached rank oracle; the audit of a certifying candidate asks it through a
+closure that keeps every rank certificate, so both see the same rank
+queries in the same order.  Both rank through one engine dispatch
+(``_block_ranks``), which on engine ``both`` compares the engines.
 
 A point is Present with the first certifying candidate, columns outer, or
 Hole after every candidate is exhausted; other matrices scan every
@@ -73,7 +75,6 @@ certificate.
 
 from __future__ import annotations
 
-import bisect
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -320,7 +321,7 @@ class _RankOracle:
     ``perfbench/tests/test_perfbench.py`` asserts more requests than
     computed ranks at d=5, where the class counts tie.
     ``rank_of`` reads the cache directly, for the single blocks of
-    conditions (ii) and (iii).
+    conditions (ii) and (iii).  Both compute through ``_block_ranks``.
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -331,7 +332,7 @@ class _RankOracle:
         self._ranks: dict[int, int] = {}
         self._set_keys: dict[int, int] = {}
         self._dft = u.kind is TransitionKind.DFT
-        self._numeric = u.numeric
+        self._u = u
 
     def _set_key(self, indices: tuple[int, ...]) -> int:
         """Key of a row or column set, as ``_screen`` and ``_column_orbits``
@@ -351,24 +352,9 @@ class _RankOracle:
             return col_key << self.d | row_key
         return row_key << self.d | col_key
 
-    def _keys(self, row_keys, col_key: int) -> list[int]:
-        """Cache keys of one column set against a screen's row keys."""
-        key = self._key
-        return [key(r, col_key) for r in row_keys]
-
     def _compute(self, blocks) -> list[int]:
-        """Rank of each (rows, cols) block, all of one shape.  Engine ``both``
-        computes both and raises on the first block, in order, where they
-        differ."""
-        if self.engine == ENGINE_NUMERIC:
-            return _numeric_block_ranks(self._numeric, *zip(*blocks))
-        if len(blocks) == 1:
-            ranks = [rank(_dft_block(self.d, *blocks[0]), order=self.d).rank]
-        else:
-            ranks = _exact_block_ranks(self.d, blocks)[0]
-        if self.engine == ENGINE_BOTH:
-            _check_agreement(blocks, ranks, _numeric_block_ranks(self._numeric, *zip(*blocks)))
-        return ranks
+        """Rank of each (rows, cols) block, all of one shape (``_block_ranks``)."""
+        return _block_ranks(self._u, self.engine, blocks)[0]
 
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         key = self._key(self._set_key(rows), self._set_key(cols))
@@ -384,7 +370,8 @@ class _RankOracle:
         screen's classes, in order, one request per row set and column set.
         The keys not cached yet are ranked as one stack, each on its class's
         first member and the first column set that needs it."""
-        keys = [self._keys(screen.keys, col_key) for col_key in col_keys]
+        key = self._key
+        keys = [[key(row_key, col_key) for row_key in screen.keys] for col_key in col_keys]
         self.requests += screen.size * len(col_sets)
         ranks = self._ranks
         todo: dict[int, tuple] = {}
@@ -398,27 +385,42 @@ class _RankOracle:
         return [np.array([ranks[key] for key in row]) for row in keys]
 
 
+def _block_ranks(u: TransitionMatrix, eng: str, blocks) -> tuple[list[int], np.ndarray | None]:
+    """Rank on engine ``eng`` of each (rows, cols) block of ``u``, with each
+    block's exact pivot row per column, or None on ``numeric`` and for a lone
+    exact block.  Engine ``both`` keeps the exact ranks, after raising on
+    the first block, in order, whose numeric rank differs."""
+    if eng == ENGINE_NUMERIC:
+        return _numeric_block_ranks(u.numeric, *zip(*blocks)), None
+    if eng == ENGINE_EXACT and len(blocks) == 1:
+        # perfbench/tests/test_perfbench.py asserts that an exact search calls rank()
+        return [rank(_dft_block(u.d, *blocks[0]), order=u.d).rank], None
+    ranks, pivots = _exact_block_ranks(u.d, blocks)
+    if eng == ENGINE_BOTH:
+        numeric = _numeric_block_ranks(u.numeric, *zip(*blocks))
+        for (rows, cols), r, rn in zip(blocks, ranks, numeric):
+            if r != rn:
+                raise EngineDisagreementError(rows, cols, r, rn)
+    return ranks, pivots
+
+
+def _padded(sets) -> np.ndarray:
+    """Index tuples as the rows of one intp array, each padded with -1."""
+    width = max(map(len, sets))
+    return np.array([s + (-1,) * (width - len(s)) for s in sets], dtype=np.intp)
+
+
 def _exact_block_ranks(d: int, blocks) -> tuple[list[int], np.ndarray]:
     """Certified ranks of DFT blocks (rows, cols) as one padded stack, with
     each block's pivot row per column."""
-    nrows = max(len(rows) for rows, _ in blocks)
-    ncols = max(len(cols) for _, cols in blocks)
-    rows = np.array([r + (-1,) * (nrows - len(r)) for r, _ in blocks], dtype=np.intp)
-    cols = np.array([c + (-1,) * (ncols - len(c)) for _, c in blocks], dtype=np.intp)
+    rows, cols = map(_padded, zip(*blocks))
     live = (rows >= 0)[:, :, None, None] & (cols >= 0)[:, None, :, None]
     # A minor has at most k rows of k unimodular entries, so Hadamard's
     # bound caps it at k^(k/2) in every embedding.
-    k = min(nrows, ncols)
+    k = min(rows.shape[1], cols.shape[1])
     exps = (rows[:, :, None] * cols[:, None, :] % d)[..., None]
     ranks, pivots = _exact_rank_int(exps, live, d, k**k)
     return ranks.tolist(), pivots
-
-
-def _check_agreement(blocks, exact: list[int], numeric: list[int]) -> None:
-    """Raise on the first block (rows, cols), in order, where the engines differ."""
-    for (rows, cols), r, rn in zip(blocks, exact, numeric):
-        if r != rn:
-            raise EngineDisagreementError(rows, cols, r, rn)
 
 
 def _numeric_block_ranks(numeric: np.ndarray, row_sets, col_sets) -> list[int]:
@@ -431,12 +433,10 @@ def _numeric_block_ranks(numeric: np.ndarray, row_sets, col_sets) -> list[int]:
     sides = np.zeros((2, len(numeric) + 1, len(numeric) + 1), dtype=numeric.dtype)
     sides[:, :-1, :-1] = numeric, numeric.T  # index -1 reads 0; the transpose for tall blocks
     blocks = [(r, c, 0) if len(r) <= len(c) else (c, r, 1) for r, c in zip(row_sets, col_sets)]
-    k, m = max(len(b[0]) for b in blocks), max(len(b[1]) for b in blocks)
-    short = np.array([s + (-1,) * (k - len(s)) for s, _, _ in blocks], dtype=np.intp)
-    long = np.array([lo + (-1,) * (m - len(lo)) for _, lo, _ in blocks], dtype=np.intp)
-    side = np.array([t for _, _, t in blocks], dtype=np.intp)
+    short, long, side = zip(*blocks)
+    short, long, side = _padded(short), _padded(long), np.array(side, dtype=np.intp)
     shapes = [(len(r), len(c)) for r, c in zip(row_sets, col_sets)]
-    step, ranks = max(1, _SCREEN_ENTRIES // max(1, k * m)), []
+    step, ranks = max(1, _SCREEN_ENTRIES // max(1, short.shape[1] * long.shape[1])), []
     for start in range(0, len(blocks), step):
         part = slice(start, start + step)
         stack = sides[side[part, None, None], short[part, :, None], long[part, None, :]]
@@ -465,9 +465,18 @@ def _resolve_engine(d: int, kind: TransitionKind, engine: str, allow_large: bool
 # the three rank conditions
 
 
-def _insert_sorted(rows: tuple[int, ...], k: int) -> tuple[int, ...]:
-    pos = bisect.bisect_left(rows, k)
-    return rows[:pos] + (k,) + rows[pos:]
+def _condition_blocks(d: int, rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The (rows, cols) blocks conditions (ii) and (iii) read, in order: each
+    outside row inserted in sorted order, whose rank must rise by one, then
+    each column dropped, whose rank must stay."""
+    below = 0  # how many of ``rows`` lie below k
+    for k in range(d):
+        if below < len(rows) and rows[below] == k:
+            below += 1
+        else:
+            yield rows[:below] + (k,) + rows[below:], cols
+    for i in range(len(cols)):
+        yield rows, cols[:i] + cols[i + 1 :]
 
 
 def _conditions_hold(
@@ -478,9 +487,8 @@ def _conditions_hold(
 ) -> bool:
     """Conditions (i)-(iii) for sorted ``rows`` and ``cols``.
 
-    ``rank_of`` is asked for the base rank, then for each outside row
-    inserted in sorted order, then for each dropped column, stopping at the
-    first failure.
+    ``rank_of`` is asked for the base rank, then for each block of
+    ``_condition_blocks`` in order, stopping at the first failure.
     """
     base = rank_of(rows, cols)
     return base < len(cols) and _conditions_ii_iii(rank_of, d, rows, cols, base)
@@ -493,15 +501,10 @@ def _conditions_ii_iii(
     cols: tuple[int, ...],
     base: int,
 ) -> bool:
-    """Conditions (ii) and (iii) given the base rank, which (i) bounds."""
-    rowset = set(rows)
-    for k in range(d):
-        if k not in rowset and rank_of(_insert_sorted(rows, k), cols) != base + 1:
-            return False
-    for idx in range(len(cols)):
-        if rank_of(rows, cols[:idx] + cols[idx + 1 :]) != base:
-            return False
-    return True
+    """Conditions (ii) and (iii) given the base rank, which (i) bounds: each
+    block of ``_condition_blocks`` ranks ``base`` plus its rows added."""
+    blocks = _condition_blocks(d, rows, cols)
+    return all(rank_of(r, c) == base + len(r) - len(rows) for r, c in blocks)
 
 
 def check_submatrix_conditions(
@@ -514,9 +517,10 @@ def check_submatrix_conditions(
     """Audited evaluation of the three rank conditions for one candidate.
 
     Returns the verdict together with the certificates read in the order of
-    ``_conditions_hold``, so on failure they stop at the first violated
-    condition.  ``rows`` may be empty, which encodes the full-A-support
-    case.  The audit is ``_audit``'s one-selection case.
+    ``_conditions_hold``, the base block then ``_condition_blocks``, so on
+    failure they stop at the first violated condition.  ``rows`` may be
+    empty, which encodes the full-A-support case.  The audit is
+    ``_audit``'s one-selection case.
     """
     d = u.d
     rows = tuple(sorted(map(_index, rows)))
@@ -535,28 +539,23 @@ def _audit(
 ) -> list[tuple[bool, PointCertificate]]:
     """``check_submatrix_conditions`` for each sorted (rows, cols) selection.
 
-    Ranks every distinct block the audits may read once, all in one call on
-    each engine, counted in ``stats["audit_blocks"]`` if given.  Engine
-    ``both`` keeps the exact certificates, after raising on the first block,
-    in order, whose numeric rank differs.
+    Ranks every distinct block the audits may read once, in one
+    ``_block_ranks`` call, counted in ``stats["audit_blocks"]`` if given;
+    engine ``both`` keeps the exact certificates.
     """
     d = u.d
     first_use: dict = {}  # the distinct blocks, in order of first use
     for rows, cols in selections:
         first_use[rows, cols] = None
-        first_use.update(((_insert_sorted(rows, k), cols), None) for k in range(d) if k not in rows)
-        first_use.update(((rows, cols[:i] + cols[i + 1 :]), None) for i in range(len(cols)))
+        first_use.update(dict.fromkeys(_condition_blocks(d, rows, cols)))
     blocks = list(first_use)
     if stats is not None:
         stats["audit_blocks"] += len(blocks)
-    if eng != ENGINE_EXACT:
-        numeric = _numeric_block_ranks(u.numeric, *zip(*blocks))
-        shared = {r: RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in set(numeric)}
-        found = [shared[r] for r in numeric]
-    if eng != ENGINE_NUMERIC:
-        ranks, pivots = _exact_block_ranks(d, blocks)
-        if eng == ENGINE_BOTH:
-            _check_agreement(blocks, ranks, numeric)
+    ranks, pivots = _block_ranks(u, eng, blocks)
+    if eng == ENGINE_NUMERIC:
+        shared = {r: RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in set(ranks)}
+        found = [shared[r] for r in ranks]
+    else:
         pairs = map(_pivot_pairs, pivots)
         found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
     table = dict(zip(blocks, found))
@@ -602,7 +601,7 @@ def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) ->
     (i) in chunks of 1, 2, 4, ... column sets up to ``_SCREEN_ENTRIES``
     matrix entries, never fewer than one.  A Present certificate holds the
     selection only; ``_audited`` audits it."""
-    d = u.d
+    d, n_a, n_b = u.d, _index(n_a), _index(n_b)
     if not (1 <= n_a <= d and 1 <= n_b <= d):
         raise ValueError("point coordinates must lie in 1..d")
     n_rows = d - n_a

@@ -198,6 +198,17 @@ def test_non_integer_indices_are_rejected(check, bad):
     check(u, [0, 1, 2, np.int64(3), 4], [np.intp(0), 3])
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, "3"])
+def test_point_exists_rejects_non_integer_coordinates(bad):
+    # (bad, 3) and (3, bad) are searched points at d=6, (bad, 6) and (6, bad)
+    # lie in the half-plane; a coordinate goes through operator.index too
+    u = dft_matrix(6)
+    for n_a, n_b in [(bad, 3), (3, bad), (bad, 6), (6, bad)]:
+        with pytest.raises(ValueError, match=f"index {bad!r} is not an integer"):
+            point_exists(u, n_a, n_b)
+    assert point_exists(u, np.int64(2), np.intp(3)).status is PointStatus.PRESENT
+
+
 # ---------------------------------------------------------------------------
 # single points
 
@@ -572,6 +583,21 @@ def test_both_engine_row_audit_raises_on_a_disagreement(monkeypatch):
     assert (exc.value.exact_rank, exc.value.numeric_rank) == (4, 5)
 
 
+def test_both_engine_cross_checks_a_lone_block(monkeypatch):
+    # conditions (ii) and (iii) ask the oracle for one block at a time, and
+    # engine "both" compares the engines on that block too
+    oracle = _RankOracle(dft_matrix(6), "both")
+    numeric = diagram._numeric_block_ranks
+    monkeypatch.setattr(
+        diagram, "_numeric_block_ranks", lambda *args: [r + 1 for r in numeric(*args)]
+    )
+    rows, cols = (0, 2, 4), (0, 3)  # every entry is 1
+    with pytest.raises(EngineDisagreementError) as exc:
+        oracle.rank_of(rows, cols)
+    assert (exc.value.rows, exc.value.cols) == (rows, cols)
+    assert (exc.value.exact_rank, exc.value.numeric_rank) == (1, 2)
+
+
 def test_both_engine_audit_cross_checks_closed_form_points(monkeypatch):
     # a closed-form point asks the rank oracle for nothing, so on engine
     # "both" only the audit compares the engines there
@@ -653,7 +679,7 @@ def _check_screen(u, engine, rng):
         col_sets = [tuple(sorted(rng.sample(range(d), n_b))) for _ in range(3)]
         col_sets.append(col_sets[0])  # a chunk may repeat a key
         col_keys = [oracle._set_key(cols) for cols in col_sets]
-        keys = {k for col_key in col_keys for k in oracle._keys(screen.keys, col_key)}
+        keys = {oracle._key(r, col_key) for col_key in col_keys for r in screen.keys}
         screened = oracle.base_ranks(screen, col_sets, col_keys)
         assert (oracle.requests, oracle.computed) == (len(col_sets) * screen.size, len(keys))
         for cols, ranks in zip(col_sets, screened, strict=True):
