@@ -29,8 +29,8 @@ U[R, T] = (w^(ij)) to U[aR, T], the image of every entry under the
 automorphism w -> w^a of Q(w), and an automorphism keeps every minor's
 vanishing, so the rank over Q(w).  So the DFT search scans the least
 column set of each orbit under x -> ax + s, by descending stabilizer size,
-ties in lex order, and row sets containing 0 in lex order; an exhausted
-quotient rules out every selection.
+ties in lex order, and row sets containing 0 in lex order, from one table
+per set size; an exhausted quotient rules out every selection.
 Below the half-plane n_a + n_b >= d + 1 the Present points are Theorem 1's
 cosets, whose column sets many maps fix, and the certificate is the full
 scan's first in the same column order (a smaller member of its column orbit
@@ -274,27 +274,31 @@ def _affine_keys(d: int, sets) -> np.ndarray:
 
 class _Screen(NamedTuple):
     """Classes of the index sets a search walks, in walking order: each
-    class's lex-first member, its key, and how many sets the classes stand
-    for.  The DFT classes are affine orbits, keyed by ``_affine_keys``; on
-    another matrix each set is its own class, keyed by its mask."""
+    class's lex-first member, its key, how many sets the classes stand for
+    and, for DFT rows, each class's members through 0.  The DFT classes are
+    affine orbits, keyed by ``_affine_keys``; on another matrix each set is
+    its own class, keyed by its mask."""
 
     firsts: list[tuple[int, ...]]
     keys: list[int]
     size: int
+    through_0: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
 def _screen(d: int, n_rows: int, dft: bool) -> _Screen:
     """The row sets a search screens on each column set.  The DFT screens the
-    row sets through 0, in affine classes in order of first member; another
-    matrix screens every row set."""
+    row sets through 0, in affine classes in order of first member, a table
+    ``_column_orbits`` reorders for the columns; another matrix, every set."""
     if not dft:
         row_sets = list(combinations(range(d), n_rows))
         return _Screen(row_sets, [_mask(rows) for rows in row_sets], len(row_sets))
     row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
     keys = _affine_keys(d, row_sets)
-    firsts = np.sort(np.unique(keys, return_index=True)[1])
-    return _Screen([row_sets[i] for i in firsts], keys[firsts].tolist(), len(row_sets))
+    _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.lexsort((firsts,))
+    firsts, counts = firsts[order], counts[order]
+    return _Screen([row_sets[i] for i in firsts], keys[firsts].tolist(), len(row_sets), counts)
 
 
 class _RankOracle:
@@ -335,8 +339,7 @@ class _RankOracle:
         self._u = u
 
     def _set_key(self, indices: tuple[int, ...]) -> int:
-        """Key of a row or column set, as ``_screen`` and ``_column_orbits``
-        make it."""
+        """Key of a row or column set, as ``_screen``'s table makes it."""
         mask = _mask(indices)
         if not self._dft:
             return mask
@@ -352,17 +355,13 @@ class _RankOracle:
             return col_key << self.d | row_key
         return row_key << self.d | col_key
 
-    def _compute(self, blocks) -> list[int]:
-        """Rank of each (rows, cols) block, all of one shape (``_block_ranks``)."""
-        return _block_ranks(self._u, self.engine, blocks)[0]
-
     def rank_of(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         key = self._key(self._set_key(rows), self._set_key(cols))
         self.requests += 1
         found = self._ranks.get(key)
         if found is None:
             self.computed += 1
-            found = self._ranks[key] = self._compute([(rows, cols)])[0]
+            found = self._ranks[key] = _block_ranks(self._u, self.engine, [(rows, cols)])[0][0]
         return found
 
     def base_ranks(self, screen: _Screen, col_sets, col_keys) -> list[np.ndarray]:
@@ -381,7 +380,7 @@ class _RankOracle:
                     todo.setdefault(key, (rows, cols))
         if todo:
             self.computed += len(todo)
-            ranks.update(zip(todo, self._compute(list(todo.values()))))
+            ranks.update(zip(todo, _block_ranks(self._u, self.engine, list(todo.values()))[0]))
         return [np.array([ranks[key] for key in row]) for row in keys]
 
 
@@ -584,12 +583,15 @@ def _column_orbits(d: int, size: int) -> _Screen:
     """The orbits of ``size``-subsets of Z_d under x -> ax + s, each led by its
     lex-first member and keyed by ``_affine_keys``, in the DFT search's
     order: by descending number of maps that fix it, |maps| / |orbit|, then
-    lex.  The orbit of a key is the sets that share it."""
-    col_sets = list(combinations(range(d), size))
-    keys = _affine_keys(d, col_sets)
-    _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = firsts[np.lexsort((firsts, counts))]
-    return _Screen([col_sets[i] for i in order], keys[order].tolist(), len(col_sets))
+    lex.  ``_screen``'s table, reordered: an orbit's lex-first member holds 0
+    (shift it by -min), and |orbit| * size / d of its members do, as shifts
+    keep the orbit, so a stable sort by that count keeps ties in lex order."""
+    if not size:
+        return _Screen([()], [0], 1)
+    classes = _screen(d, size, True)
+    order = np.lexsort((classes.through_0,))
+    firsts, keys = [classes.firsts[i] for i in order], [classes.keys[i] for i in order]
+    return _Screen(firsts, keys, classes.size * d // size)  # C(d, size) sets
 
 
 def _find_point(u: TransitionMatrix, oracle: _RankOracle, n_a: int, n_b: int) -> DiagramPoint:
@@ -829,10 +831,6 @@ def predict_theorem2(d: int) -> TheoremPrediction:
     return TheoremPrediction(theorem="T2", d=d, points=pts, row=2)
 
 
-def _nontrivial_divisors(d: int) -> list[int]:
-    return [m for m in divisors(d) if 1 < m < d]
-
-
 def predict_theorem3(d: int) -> TheoremPrediction:
     """The Present set on the row n_b = 3, under a divisor hypothesis.
 
@@ -849,7 +847,7 @@ def predict_theorem3(d: int) -> TheoremPrediction:
             n_as.add(d - m)
             n_as.add(d - 2 * m)
     pts = frozenset((a, 3) for a in n_as)
-    applicable = all(is_prime(m) for m in _nontrivial_divisors(d))
+    applicable = all(is_prime(m) for m in divisors(d) if 1 < m < d)
     note = "" if applicable else "d has a nontrivial nonprime divisor; prediction is heuristic"
     return TheoremPrediction(
         theorem="T3", d=d, points=pts, row=3, applicable=applicable, note=note

@@ -37,10 +37,11 @@ class CosetSpec:
     b_shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        d, p, _, _ = map(_index, (self.d, self.p, self.a_shift, self.b_shift))
+        if d < 1:
             raise ValueError("dimension must be positive")
-        if self.p < 1 or self.d % self.p != 0:
-            raise ValueError(f"support size {self.p} must divide dimension {self.d}")
+        if p < 1 or d % p != 0:
+            raise ValueError(f"support size {p} must divide dimension {d}")
 
 
 def coset_classical_state(spec: CosetSpec) -> StateVector:

@@ -41,6 +41,7 @@ from kduncd.diagram import (
     _WITNESS_TRIES,
     _affine_keys,
     _audited,
+    _block_ranks,
     _column_orbits,
     _conditions_hold,
     _conditions_ii_iii,
@@ -404,6 +405,58 @@ def test_column_representatives_are_orbit_minima():
             assert sorted(_column_orbits(d, size).firsts) == sorted(orbit_minima)
 
 
+def _reference_column_orbits(d, size):
+    """The column orbits as built before they shared ``_screen``'s table:
+    every size-subset of Z_d keyed by its own ``_affine_keys`` sweep, each
+    orbit led by its lex-first member, by ascending orbit size, then lex."""
+    col_sets = list(combinations(range(d), size))
+    keys = _affine_keys(d, col_sets)
+    _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = firsts[np.lexsort((firsts, counts))]
+    return [col_sets[i] for i in order], keys[order].tolist(), len(col_sets)
+
+
+def _reference_screen(d, n_rows):
+    """The DFT row screen as built before it carried counts through 0."""
+    row_sets = [(0,) + rest for rest in combinations(range(1, d), n_rows - 1)]
+    keys = _affine_keys(d, row_sets)
+    firsts = np.sort(np.unique(keys, return_index=True)[1])
+    return [row_sets[i] for i in firsts], keys[firsts].tolist(), len(row_sets)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_column_orbits_reorder_the_row_screen_exactly(d):
+    # one table of affine classes per set size serves rows and columns: the
+    # column orbits, read off the classes of the sets through 0, have the
+    # leaders, keys, order and subset count of a sweep over every subset,
+    # and the row screen keeps its leaders, keys and size
+    for size in range(d + 1):
+        columns = _column_orbits(d, size)
+        assert (columns.firsts, columns.keys, columns.size) == _reference_column_orbits(d, size)
+        if size:
+            screen = _screen(d, size, True)
+            assert (screen.firsts, screen.keys, screen.size) == _reference_screen(d, size)
+            assert screen.through_0.sum() == screen.size
+
+
+def test_a_cold_dft_diagram_sweeps_each_set_size_once(monkeypatch):
+    # rows and columns of one size share one batched key sweep; the single
+    # sets the rank oracle keys for conditions (ii) and (iii) are not batches
+    sweeps = []
+    affine_keys = diagram._affine_keys
+
+    def recorded(d, sets):
+        if len(sets) > 1:
+            sweeps.append(len(sets[0]))
+        return affine_keys(d, sets)
+
+    monkeypatch.setattr(diagram, "_affine_keys", recorded)
+    diagram._screen.cache_clear()
+    diagram._column_orbits.cache_clear()
+    enumerate_diagram(dft_matrix(12))
+    assert sweeps and len(sweeps) == len(set(sweeps))
+
+
 @pytest.mark.parametrize("d", range(1, 11))
 def test_structured_representatives_sort_by_stabilizer_then_lex(d):
     # the orbit representatives, the most symmetric first: stabilizer sizes
@@ -623,7 +676,6 @@ def test_orbit_members_share_key_and_rank(d):
     # and both engines give them all one rank
     rng = random.Random(d)
     u = dft_matrix(d)
-    engines = [_RankOracle(u, engine) for engine in ("exact", "numeric")]
     units = [a for a in range(d) if math.gcd(a, d) == 1]
 
     def shift(xs, s, a=1):
@@ -641,7 +693,9 @@ def test_orbit_members_share_key_and_rank(d):
         for r, c in members:
             oracle.rank_of(r, c)
         assert (oracle.requests, oracle.computed, len(oracle._ranks)) == (len(members), 1, 1)
-        ranks = {e._compute([(r, c)])[0] for r, c in members for e in engines}
+        ranks = {
+            _block_ranks(u, e, [(r, c)])[0][0] for r, c in members for e in ("exact", "numeric")
+        }
         assert len(ranks) == 1, (rows, cols, ranks)
 
 
@@ -683,7 +737,7 @@ def _check_screen(u, engine, rng):
         screened = oracle.base_ranks(screen, col_sets, col_keys)
         assert (oracle.requests, oracle.computed) == (len(col_sets) * screen.size, len(keys))
         for cols, ranks in zip(col_sets, screened, strict=True):
-            every = dict(zip(row_sets, oracle._compute([(r, cols) for r in row_sets])))
+            every = dict(zip(row_sets, _block_ranks(u, engine, [(r, cols) for r in row_sets])[0]))
             for first, base in zip(screen.firsts, ranks.tolist(), strict=True):
                 assert {every[rows] for rows in members(first)} == {base}
 

@@ -25,6 +25,15 @@ def test_coset_spec_rejects_non_divisor():
         CosetSpec(d=6, p=4)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"b_shift": 0.5}, {"a_shift": 1.5}, {"d": 6.0}, {"p": 3.0}, {"a_shift": "1"}]
+)
+def test_coset_spec_rejects_non_integer_fields(fields):
+    # a fractional shift would give a state off the coset family
+    with pytest.raises(ValueError, match="not an integer"):
+        CosetSpec(**{"d": 6, "p": 3, **fields})
+
+
 def test_coset_state_two_point():
     psi = coset_classical_state(CosetSpec(d=6, p=2))
     expected = np.zeros(6, dtype=complex)
