@@ -47,7 +47,7 @@ from .kd import (
     theorem5_sufficient,
 )
 from .plotting import diagram_svg
-from .verify import verify_suite
+from .verify import _RULES, verify_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -233,12 +233,10 @@ def cmd_classify(state_file, dim, eps_support, eps_classical) -> None:
 
 
 @main.command("verify")
-@click.argument(
-    "theorem", type=click.Choice(["T1", "C1", "T2", "T3", "T4", "T5", "L3"], case_sensitive=False)
-)
+@click.argument("theorem", type=click.Choice(list(_RULES), case_sensitive=False))
 @click.option("--d", "dim", type=str, required=True, help="Dimension or range A..B.")
 @_count("--samples", help="Sampled states per dimension.")
-@_count("--pairs", help="Random MUB pairs per dimension (T5).")
+@_count("--pairs", help="Random MUB pairs per dimension.")
 @_engine
 @_seed
 @_cache

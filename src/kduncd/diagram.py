@@ -87,7 +87,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cyclotomic import divisors, is_prime
-from .kd import DEFAULT_SUPPORT_EPS, StateVector, TransitionKind, TransitionMatrix, _support_masks
+from .kd import (
+    DEFAULT_SUPPORT_EPS, StateVector, TransitionKind, TransitionMatrix, _index, _support_masks
+)
 from .linalg import (
     DEFAULT_RANK_TOL,
     ENGINE_EXACT,
@@ -98,7 +100,7 @@ from .linalg import (
     _stack_svd_ranks,
     rank,
 )
-from .states import _index, _subspace_sampler
+from .states import _subspace_sampler
 
 __all__ = [
     "DiagramPoint",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -115,16 +116,24 @@ def transition_from_unitary(
     return TransitionMatrix(d=d, kind=kind, numeric=a)
 
 
+def _index(v) -> int:
+    """``v`` as an int, never rounded or parsed; raises ValueError otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"index {v!r} is not an integer") from None
+
+
 def _dft_entries(d: int) -> np.ndarray:
     """The unitary DFT entries w^(i*j)/sqrt(d), w = exp(2*pi*i/d)."""
     idx = np.arange(d)
     return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / math.sqrt(d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so 4.0 cannot hit the entry of 4
 def dft_matrix(d: int) -> TransitionMatrix:
     """The DFT transition matrix."""
-    if d < 1:
+    if _index(d) < 1:
         raise ValueError("dimension must be a positive integer")
     return transition_from_unitary(_dft_entries(d), kind=TransitionKind.DFT)
 
@@ -164,7 +173,7 @@ def state_from_amplitudes(amps) -> StateVector:
 
 
 def basis_state(d: int, i: int) -> StateVector:
-    if not 0 <= i < d:
+    if not 0 <= _index(i) < _index(d):
         raise ValueError("basis index out of range")
     a = np.zeros(d, dtype=complex)
     a[i] = 1.0

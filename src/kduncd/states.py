@@ -9,12 +9,13 @@ and an everywhere nonnegative KD table.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kd import StateVector, TransitionKind, TransitionMatrix, dft_matrix, transition_from_unitary
+from .kd import (
+    StateVector, TransitionKind, TransitionMatrix, _index, dft_matrix, transition_from_unitary
+)
 from .linalg import nullspace_basis
 
 __all__ = [
@@ -71,14 +72,6 @@ def random_state_in_subspace(
     amps = _subspace_sampler(u, s_set, t_set)(np.random.default_rng(seed), 1)[0]
     amps.setflags(write=False)
     return StateVector(d=u.d, amps_a=amps, norm=1.0)
-
-
-def _index(v) -> int:
-    """``v`` as an int, never rounded or parsed; raises ValueError otherwise."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"index {v!r} is not an integer") from None
 
 
 def _subspace_sampler(u: TransitionMatrix, s_set, t_set):

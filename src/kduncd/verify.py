@@ -11,6 +11,7 @@ the DFT reads the audited closed-form certificates, not searched ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
@@ -49,9 +50,6 @@ __all__ = [
 
 DiagramProvider = Callable[[int], UncertaintyDiagram]
 
-# Smallest dimension each rule is stated for; absent rules hold from d = 1.
-_MIN_DIMENSION = {"T2": 2, "T3": 3, "T5": 2, "L3": 2}
-
 # Coset states T4 checks per dimension, cycling through the divisors of d.
 _COSET_SAMPLES = 20
 
@@ -76,7 +74,7 @@ def _fmt_points(points) -> str:
 
 
 def _verify_claims(
-    dims: Iterable[int], diagrams: DiagramProvider, predict, passing: str
+    predict, passing: str, dims: Iterable[int], diagrams: DiagramProvider
 ) -> list[VerifyRow]:
     """Every point the rule claims must be Present; ``passing`` may name ``{n}`` claims."""
     rows = []
@@ -88,7 +86,7 @@ def _verify_claims(
     return rows
 
 
-def _verify_row_exact(dims: Iterable[int], diagrams: DiagramProvider, predict) -> list[VerifyRow]:
+def _verify_row_exact(predict, dims: Iterable[int], diagrams: DiagramProvider) -> list[VerifyRow]:
     rows = []
     for d in dims:
         pred = predict(d)
@@ -113,13 +111,13 @@ def verify_theorem4(
     dims: Iterable[int],
     diagrams: DiagramProvider,
     *,
-    witness_samples: int = 1000,
+    samples: int = 1000,
     seed: int | None = 0,
 ) -> list[VerifyRow]:
     """Hyperbola states classify classical; above-hyperbola witnesses classify
     nonclassical.  The j-th eligible point takes witness states j, j + L,
-    j + 2L, ... of ``witness_samples`` (L points), drawn in blocks."""
-    if witness_samples < 1:
+    j + 2L, ... of ``samples`` (L points), drawn in blocks."""
+    if samples < 1:
         raise ValueError("witness sample count must be at least 1")  # else nothing is checked
     rng = np.random.default_rng(seed)
     rows = []
@@ -143,7 +141,7 @@ def verify_theorem4(
         eligible = sorted(p for p in diag.present_set() if p[0] * p[1] > d)
         done = 0
         for j, key in enumerate(eligible):
-            left = len(range(j, witness_samples, len(eligible)))
+            left = len(range(j, samples, len(eligible)))
             while left:
                 size = min(left, _WITNESS_BLOCK)
                 amps = _witness_block(u, diag.points[key], size, rng)
@@ -280,6 +278,20 @@ def verify_lemma3(dims: Iterable[int]) -> list[VerifyRow]:
     return rows
 
 
+# The verification rules by name: (least d the rule is stated for, whether its
+# check reads diagrams and so takes the provider after the dimensions, the
+# check, then the ``verify_suite`` keywords it takes).  A new rule is one entry.
+_RULES = {
+    "T1": (1, True, partial(_verify_claims, predict_theorem1, "all claims present")),
+    "C1": (1, True, partial(_verify_claims, predict_corollary1, "{n} half-plane points present")),
+    "T2": (2, True, partial(_verify_row_exact, predict_theorem2)),
+    "T3": (3, True, partial(_verify_row_exact, predict_theorem3)),
+    "T4": (1, True, verify_theorem4, "samples", "seed"),
+    "T5": (2, False, verify_theorem5, "pairs", "samples", "seed"),
+    "L3": (2, False, verify_lemma3),
+}
+
+
 def verify_suite(
     theorem: str,
     dims: Sequence[int],
@@ -289,28 +301,28 @@ def verify_suite(
     pairs: int | None = None,
     seed: int | None = 0,
 ) -> list[VerifyRow]:
-    """Dispatch a named verification over a dimension range.
+    """Run the rule of ``_RULES`` named ``theorem``, in any case, over a range.
 
-    A dimension below the rule's minimum gets an informational row instead
-    of a check, so every requested dimension is reported.  A count left at
-    None takes the rule's default.  ``L3`` refuses the whole range if any
-    dimension exceeds the enumeration limit, as its submatrix count grows
-    combinatorially with d.  The rules that read diagrams ask for those past
-    the limit first, so a provider that refuses one refuses the range before
-    any diagram below the limit is enumerated.
+    A dimension below the rule's least d gets an informational row, not a
+    check, so every dimension is reported.  ``samples`` or ``pairs`` left at
+    None is not passed, so the check's default applies; ``seed`` is passed as
+    given.  ``L3`` refuses the range if any dimension exceeds the enumeration
+    limit, as its submatrix count grows combinatorially.  The rules that read
+    diagrams ask for those past the limit first, so a provider that refuses one
+    refuses the range before any diagram below it is enumerated.
     """
     theorem = theorem.upper()
+    if theorem not in _RULES:
+        raise ValueError(f"unknown verification id {theorem!r}")
+    low, reads_diagrams, check, *taken = _RULES[theorem]
 
-    large: dict[int, UncertaintyDiagram] = {}
+    if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
+        raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
+    large = {d: diagrams(d) for d in dims if d > NUMERIC_DIMENSION_LIMIT} if reads_diagrams else {}
 
     def diagram(d: int) -> UncertaintyDiagram:
         return large[d] if d in large else diagrams(d)
 
-    if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
-        raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
-    if theorem in ("T1", "C1", "T2", "T3", "T4"):
-        large.update((d, diagrams(d)) for d in dims if d > NUMERIC_DIMENSION_LIMIT)
-    low = _MIN_DIMENSION.get(theorem, 1)
     skipped: list[VerifyRow] = []
 
     def checked(d: int) -> bool:
@@ -319,29 +331,9 @@ def verify_suite(
             skipped.append(VerifyRow(d=d, label=theorem, passed=None, detail=detail))
         return d >= low
 
+    given = {"samples": samples, "pairs": pairs, "seed": seed}
+    counts = {k: given[k] for k in taken if k == "seed" or given[k] is not None}
     # filtered lazily, so a refused dimension ends even a huge range at once
     dims = filter(checked, dims)
-    if theorem == "T1":
-        rows = _verify_claims(dims, diagram, predict_theorem1, "all claims present")
-    elif theorem == "C1":
-        rows = _verify_claims(dims, diagram, predict_corollary1, "{n} half-plane points present")
-    elif theorem == "T2":
-        rows = _verify_row_exact(dims, diagram, predict_theorem2)
-    elif theorem == "T3":
-        rows = _verify_row_exact(dims, diagram, predict_theorem3)
-    elif theorem == "T4":
-        rows = verify_theorem4(
-            dims, diagram, witness_samples=1000 if samples is None else samples, seed=seed
-        )
-    elif theorem == "T5":
-        rows = verify_theorem5(
-            dims,
-            pairs=100 if pairs is None else pairs,
-            samples=100 if samples is None else samples,
-            seed=seed,
-        )
-    elif theorem == "L3":
-        rows = verify_lemma3(dims)
-    else:
-        raise ValueError(f"unknown verification id {theorem!r}")
+    rows = check(dims, diagram, **counts) if reads_diagrams else check(dims, **counts)
     return skipped + rows

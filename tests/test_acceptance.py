@@ -87,7 +87,7 @@ def test_criterion_05_theorem4_property_suite(diagram_cache):
     rows = verify_theorem4(
         range(1, 13),
         diagram_cache,
-        witness_samples=1000,
+        samples=1000,
         seed=20250,
     )
     for row in rows:

@@ -403,7 +403,7 @@ def test_verify_suite_defaults_only_missing_counts():
 
 
 @pytest.mark.parametrize(
-    "counts", [{"witness_samples": 0}, {"witness_samples": -1}]
+    "counts", [{"samples": 0}, {"samples": -1}]
 )
 def test_theorem4_rejects_counts_below_one(counts):
     from kduncd.verify import verify_theorem4

@@ -30,7 +30,7 @@ def test_theorem4_checks_every_witness_sample(diagram_cache, monkeypatch, sample
 
     monkeypatch.setattr(verify_mod, "_witness_faults", spy)
     monkeypatch.setattr(verify_mod, "_WITNESS_BLOCK", block)
-    (row,) = verify_theorem4([6], diagram_cache, witness_samples=samples, seed=1)
+    (row,) = verify_theorem4([6], diagram_cache, samples=samples, seed=1)
     assert row.passed, row.detail
     assert row.detail == f"20 coset + {samples} witness states agree"
     assert checked == _shares(diagram_cache, 6, samples)
@@ -48,7 +48,7 @@ def test_theorem4_fails_on_one_classical_looking_row(diagram_cache, monkeypatch)
         return violation
 
     monkeypatch.setattr(kd_mod, "_violation", forced)
-    (row,) = verify_theorem4([6], diagram_cache, witness_samples=100, seed=1)
+    (row,) = verify_theorem4([6], diagram_cache, samples=100, seed=1)
     key, n = list(_shares(diagram_cache, 6, 100).items())[1]
     assert row.passed is False
     assert row.detail == f"witness at {key}: 1 of {n} classified classical"
@@ -66,7 +66,7 @@ def test_theorem4_fails_on_a_hyperbola_row(diagram_cache, monkeypatch):
         return amps
 
     monkeypatch.setattr(verify_mod, "_witness_block", forced)
-    (row,) = verify_theorem4([6], diagram_cache, witness_samples=100, seed=1)
+    (row,) = verify_theorem4([6], diagram_cache, samples=100, seed=1)
     assert row.passed is False
     assert row.detail == (
         f"witness at {key}: 1 of {n} missed the profile, e.g. (2, 3); "
@@ -76,7 +76,7 @@ def test_theorem4_fails_on_a_hyperbola_row(diagram_cache, monkeypatch):
 
 def test_theorem4_names_a_prediction_mismatch(diagram_cache, monkeypatch):
     monkeypatch.setattr(verify_mod, "predict_classicality_dft", lambda profile: Verdict.CLASSICAL)
-    (row,) = verify_theorem4([6], diagram_cache, witness_samples=100, seed=1)
+    (row,) = verify_theorem4([6], diagram_cache, samples=100, seed=1)
     (key, n), *_ = _shares(diagram_cache, 6, 100).items()
     assert row.passed is False
     assert row.detail.startswith(f"witness at {key}: {n} of {n} predicted classical; ")
