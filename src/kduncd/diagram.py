@@ -51,7 +51,10 @@ on the run's engine, and one that fails raises; on the exact engine, which
 ``auto`` picks for the DFT at every d, none can.  ``enumerate_diagram``
 audits a row n_a once it is decided, ranking the distinct blocks of all
 its certificates in one call, stacked whatever their shapes, since a stack
-per point or per block shape is mostly numpy's per-call overhead.
+per point or per block shape is mostly numpy's per-call overhead.  Each
+selection's blocks are walked once, into indices of that stack, and all
+audits share one certificate per value: an exact rank with its pivots, or
+a numeric rank.
 
 Most candidates fail (i), so the search screens it once per column set:
 the rank oracle returns the base rank of every row set on that column set,
@@ -327,7 +330,9 @@ class _RankOracle:
     ``perfbench/tests/test_perfbench.py`` asserts more requests than
     computed ranks at d=5, where the class counts tie.
     ``rank_of`` reads the cache directly, for the single blocks of
-    conditions (ii) and (iii).  Both compute through ``_block_ranks``.
+    conditions (ii) and (iii).  Both compute through ``_block_ranks``, so
+    on ``exact`` any lone uncached block, a (ii)/(iii) block or a screen
+    chunk's only uncached class, goes through ``rank()``.
     """
 
     def __init__(self, u: TransitionMatrix, engine: str) -> None:
@@ -394,7 +399,7 @@ def _block_ranks(u: TransitionMatrix, eng: str, blocks) -> tuple[list[int], np.n
     if eng == ENGINE_NUMERIC:
         return _numeric_block_ranks(u.numeric, *zip(*blocks)), None
     if eng == ENGINE_EXACT and len(blocks) == 1:
-        # perfbench/tests/test_perfbench.py asserts that an exact search calls rank()
+        # a lone (ii)/(iii) block or screen class; perfbench/tests asserts this rank() call
         return [rank(_dft_block(u.d, *blocks[0]), order=u.d).rank], None
     ranks, pivots = _exact_block_ranks(u.d, blocks)
     if eng == ENGINE_BOTH:
@@ -545,27 +550,25 @@ def _audit(
     engine ``both`` keeps the exact certificates.
     """
     d = u.d
-    first_use: dict = {}  # the distinct blocks, in order of first use
-    for rows, cols in selections:
-        first_use[rows, cols] = None
-        first_use.update(dict.fromkeys(_condition_blocks(d, rows, cols)))
+    first_use: dict = {}  # each distinct block's index, in order of first use
+    walks = [  # each selection's blocks, base first, as indices into ``first_use``
+        [first_use.setdefault(b, len(first_use)) for b in ((r, c), *_condition_blocks(d, r, c))]
+        for r, c in selections
+    ]
     blocks = list(first_use)
     if stats is not None:
         stats["audit_blocks"] += len(blocks)
     ranks, pivots = _block_ranks(u, eng, blocks)
-    if eng == ENGINE_NUMERIC:
-        shared = {r: RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL) for r in set(ranks)}
-        found = [shared[r] for r in ranks]
-    else:
-        pairs = map(_pivot_pairs, pivots)
-        found = [RankCertificate(r, ENGINE_EXACT, pv, 0.0) for r, pv in zip(ranks, pairs)]
-    table = dict(zip(blocks, found))
+    cert_eng = ENGINE_NUMERIC if eng == ENGINE_NUMERIC else ENGINE_EXACT
+    keys = list(zip(ranks, [()] * len(ranks) if pivots is None else map(tuple, pivots.tolist())))
+    shared = {k: _certificate(k[0], cert_eng, _pivot_pairs(k[1])) for k in set(keys)}
+    found = [shared[k] for k in keys]
 
-    def audit(rows, cols) -> tuple[bool, PointCertificate]:
+    def audit(rows, cols, walk) -> tuple[bool, PointCertificate]:
         certs: list[RankCertificate] = []
 
-        def rank_of(r, c) -> int:
-            certs.append(table[r, c])
+        def rank_of(r, c) -> int:  # _conditions_hold asks in walk order
+            certs.append(found[walk[len(certs)]])
             return certs[-1].rank
 
         ok = _conditions_hold(rank_of, d, rows, cols)
@@ -573,7 +576,13 @@ def _audit(
         removed = tuple(zip(cols, certs[1 + d - len(rows) :]))
         return ok, PointCertificate(rows, cols, certs[0], added, removed)
 
-    return [audit(rows, cols) for rows, cols in selections]
+    return [audit(rows, cols, walk) for (rows, cols), walk in zip(selections, walks)]
+
+
+@lru_cache(maxsize=None)
+def _certificate(r: int, eng: str, pivots: tuple[tuple[int, int], ...]) -> RankCertificate:
+    """The one certificate of each value, which every audit shares."""
+    return RankCertificate(r, eng, pivots, DEFAULT_RANK_TOL if eng == ENGINE_NUMERIC else 0.0)
 
 
 # ---------------------------------------------------------------------------

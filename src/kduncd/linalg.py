@@ -159,9 +159,9 @@ def _exact_rank_int(
     return ranks, pivots
 
 
-def _pivot_pairs(pivots: np.ndarray) -> tuple[tuple[int, int], ...]:
+def _pivot_pairs(pivots: list[int] | tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(row, col) positions of one block's pivot rows, column by column."""
-    return tuple((int(i), j) for j, i in enumerate(pivots.tolist()) if i >= 0)
+    return tuple((i, j) for j, i in enumerate(pivots) if i >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def rank(a, *, order: int | None = None) -> RankCertificate:
         terms = np.array([[[*t, *[(0, 0)] * (width - len(t))] for t in row] for row in a])
         terms = terms.reshape(1, len(a), len(a[0]) if a else 0, width, 2)
         r, pivots = _exact_rank_int(terms[..., 0].astype(np.intp), terms[..., 1], order, bound_sq)
-        return RankCertificate(int(r[0]), ENGINE_EXACT, _pivot_pairs(pivots[0]), 0.0)
+        return RankCertificate(int(r[0]), ENGINE_EXACT, _pivot_pairs(pivots[0].tolist()), 0.0)
     r = int(svd_rank(np.linalg.svd(a, compute_uv=False), max(a.shape))) if a.size else 0
     return RankCertificate(r, ENGINE_NUMERIC, (), DEFAULT_RANK_TOL)
 

@@ -305,16 +305,22 @@ def verify_suite(
 
     A dimension below the rule's least d gets an informational row, not a
     check, so every dimension is reported.  ``samples`` or ``pairs`` left at
-    None is not passed, so the check's default applies; ``seed`` is passed as
-    given.  ``L3`` refuses the range if any dimension exceeds the enumeration
-    limit, as its submatrix count grows combinatorially.  The rules that read
-    diagrams ask for those past the limit first, so a provider that refuses one
-    refuses the range before any diagram below it is enumerated.
+    None is not passed, so the check's default applies, and either one given
+    to a rule that does not take it raises ValueError; ``seed`` is passed as
+    given to the rules that take it.  ``L3`` refuses the range if any
+    dimension exceeds the enumeration limit, as its submatrix count grows
+    combinatorially.  The rules that read diagrams ask for those past the
+    limit first, so a provider that refuses one refuses the range before any
+    diagram below it is enumerated.
     """
     theorem = theorem.upper()
     if theorem not in _RULES:
         raise ValueError(f"unknown verification id {theorem!r}")
     low, reads_diagrams, check, *taken = _RULES[theorem]
+    given = {"samples": samples, "pairs": pairs, "seed": seed}
+    for name in ("samples", "pairs"):
+        if given[name] is not None and name not in taken:
+            raise ValueError(f"rule {theorem} takes no {name} count")
 
     if theorem == "L3" and any(d > NUMERIC_DIMENSION_LIMIT for d in dims):
         raise ValueError(f"L3 is limited to d <= {NUMERIC_DIMENSION_LIMIT}")
@@ -331,7 +337,6 @@ def verify_suite(
             skipped.append(VerifyRow(d=d, label=theorem, passed=None, detail=detail))
         return d >= low
 
-    given = {"samples": samples, "pairs": pairs, "seed": seed}
     counts = {k: given[k] for k in taken if k == "seed" or given[k] is not None}
     # filtered lazily, so a refused dimension ends even a huge range at once
     dims = filter(checked, dims)

@@ -177,6 +177,26 @@ def test_stacked_audit_ranks_equal_per_block_ranks(engine, dims, diagram_cache):
                 assert all(len(c.pivots) == c.rank for c in audited)
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_shared_exact_certificates_are_each_blocks_own(d, diagram_cache):
+    # the audit shares one certificate per distinct value; each block's must
+    # still be the one rank() gives that block alone, pivots included
+    diag = diagram_cache(d, engine="exact")
+    objects = {}
+    for (a, b) in sorted(diag.present_set()):
+        cert = diag.points[(a, b)].certificate
+        rows, cols = cert.rows, cert.cols
+        blocks = [(rows, cols, cert.base)]
+        blocks += [(tuple(sorted(rows + (k,))), cols, c) for k, c in cert.added]
+        blocks += [(rows, tuple(x for x in cols if x != j), c) for j, c in cert.removed]
+        for r, c, got in blocks:
+            alone = rank(_dft_block(d, r, c), order=d)
+            assert (got.rank, got.pivots) == (alone.rank, alone.pivots), (a, b, r, c)
+            objects[id(got)] = got
+    values = {(c.rank, c.pivots, c.tolerance) for c in objects.values()}
+    assert len(objects) <= len(values)
+
+
 def test_conditions_validate_indices():
     with pytest.raises(ValueError):
         check_submatrix_conditions(dft_matrix(4), [0, 0], [1])

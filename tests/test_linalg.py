@@ -299,7 +299,7 @@ def test_stacked_kernel_certifies_every_block_of_a_mixed_stack(d):
     assert sum(first == ranks) > 20
     for block, r, piv in zip(blocks, ranks.tolist(), pivots):
         assert r == _largest_nonzero_minor(d, block)
-        pairs = _pivot_pairs(piv)
+        pairs = _pivot_pairs(piv.tolist())
         one = rank(block, order=d)
         assert (r, pairs) == (one.rank, one.pivots)
         rs = [i for i, _ in pairs]

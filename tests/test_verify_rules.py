@@ -177,11 +177,17 @@ def test_unknown_rule_is_refused(name):
         verify_suite(name, [3], None)
 
 
+def _counts_taken(rule: str, **counts) -> dict:
+    """The ``counts`` that the rule's table entry lists."""
+    return {k: v for k, v in counts.items() if k in verify_mod._RULES[rule][3:]}
+
+
 @pytest.mark.parametrize(
     "rule, low", [("T1", 1), ("C1", 1), ("T2", 2), ("T3", 3), ("T4", 1), ("T5", 2), ("L3", 2)]
 )
 def test_dimensions_below_a_rules_least_d_get_info_rows(diagram_cache, rule, low):
-    rows = verify_suite(rule, range(1, low + 1), diagram_cache, samples=2, pairs=1)
+    counts = _counts_taken(rule, samples=2, pairs=1)
+    rows = verify_suite(rule, range(1, low + 1), diagram_cache, **counts)
     assert [r.d for r in rows] == list(range(1, low + 1))
     for r in rows[:-1]:
         assert r == verify_mod.VerifyRow(
@@ -201,5 +207,29 @@ def test_the_seed_reaches_the_check_as_given(diagram_cache, monkeypatch, rule, s
         return real(s)
 
     monkeypatch.setattr(verify_mod.np.random, "default_rng", spy)
-    verify_suite(rule, [2], diagram_cache, samples=1, pairs=1, seed=seed)
+    verify_suite(rule, [2], diagram_cache, seed=seed, **_counts_taken(rule, samples=1, pairs=1))
     assert seeds[0] is seed
+
+
+@pytest.mark.parametrize(
+    "rule, count", [("T1", "samples"), ("C1", "pairs"), ("T4", "pairs"), ("L3", "samples")]
+)
+def test_a_count_the_rule_does_not_take_is_refused(rule, count):
+    with pytest.raises(ValueError, match=f"^rule {rule} takes no {count} count$"):
+        verify_suite(rule, [3], None, **{count: 5})
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [(["T1", "--samples", "5", "--pairs", "2"], "samples"), (["L3", "--pairs", "2"], "pairs")],
+)
+def test_cli_exits_two_on_a_count_the_rule_does_not_take(monkeypatch, args, count):
+    def refuse(*a, **k):
+        raise AssertionError("checked a refused request")
+
+    monkeypatch.setattr(cli_mod, "_cached_diagram", refuse)
+    monkeypatch.setattr(verify_mod, "lemma3_check", refuse)
+    result = CliRunner().invoke(main, ["verify", args[0], "--d", "3", *args[1:], "--seed", "4"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert f"rule {args[0]} takes no {count} count" in result.output
